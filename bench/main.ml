@@ -883,6 +883,57 @@ let e12_plan_cache_table ~quick () =
      the data)\n"
 
 (* ------------------------------------------------------------------ *)
+(* Calculus lowering: each catalog query in each language, lowered to   *)
+(* RA ([Languages.to_ra]) and run through the planner on the sample     *)
+(* instance.  The plan cache is cleared before every run, so a run pays *)
+(* lower + optimize + plan + execute.  A cell is the median of 100      *)
+(* runs, or a single run when the first one takes over a second.        *)
+
+let lowering_table () =
+  hr "Calculus lowering: catalog x language, lower + execute (sample db)";
+  let module L = Diagres.Languages in
+  let langs = [ L.Ra; L.Sql; L.Trc; L.Drc; L.Datalog ] in
+  let source (e : Diagres.Catalog.entry) = function
+    | L.Ra -> e.Diagres.Catalog.ra
+    | L.Sql -> e.Diagres.Catalog.sql
+    | L.Trc -> e.Diagres.Catalog.trc
+    | L.Drc -> e.Diagres.Catalog.drc
+    | L.Datalog -> e.Diagres.Catalog.datalog
+  in
+  let ntup = Diagres_data.Database.total_tuples db in
+  Printf.printf "%-4s%s   (ms)\n" "id"
+    (String.concat ""
+       (List.map (fun l -> Printf.sprintf " %10s" (L.name l)) langs));
+  List.iter
+    (fun (e : Diagres.Catalog.entry) ->
+      let cells =
+        List.map
+          (fun lang ->
+            let q = L.parse lang (source e lang) in
+            let run () =
+              Diagres_ra.Plan_cache.clear ();
+              Diagres_ra.Eval.eval_planned db (L.to_ra schemas q)
+            in
+            let t0, r = walltimed run in
+            let t =
+              if t0 > 1. then t0
+              else
+                let ts = List.init 99 (fun _ -> fst (walltimed run)) in
+                List.nth (List.sort compare (t0 :: ts)) 50
+            in
+            record
+              ~name:
+                (Printf.sprintf "lowering/%s/%s" e.Diagres.Catalog.id
+                   (String.lowercase_ascii (L.name lang)))
+              ~ns:(t *. 1e9) ~tuples:ntup
+              ~rows:(Diagres_data.Relation.cardinality r);
+            Printf.sprintf " %10.3f" (t *. 1e3))
+          langs
+      in
+      Printf.printf "%-4s%s\n" e.Diagres.Catalog.id (String.concat "" cells))
+    Diagres.Catalog.all
+
+(* ------------------------------------------------------------------ *)
 (* E13: the columnar substrate.  The same physical plan executed twice —
    row-at-a-time (columnar disabled) vs vectorized over column batches —
    on a selective filter and a key join, from 10k up to 1M sailors.  The
@@ -1374,7 +1425,7 @@ let () =
     | None -> ()
   in
   (* --only e13,e14: run a subset of the sections (shape, scaling, tc,
-     e11, e12, e13, e14, e15, micro) *)
+     e11, e12, lowering, e13, e14, e15, e16, micro) *)
   let only =
     let rec find = function
       | "--only" :: spec :: _ -> Some (String.split_on_char ',' spec)
@@ -1401,6 +1452,7 @@ let () =
     e12_parallel_table ~quick ~domains ();
     e12_plan_cache_table ~quick ()
   end;
+  if want "lowering" then lowering_table ();
   if want "e13" then e13_table ~quick ~huge ();
   if want "e14" then e14_table ~quick ();
   if want "e15" then e15_table ~quick ~huge ();

@@ -15,8 +15,8 @@
       1/distinct for equality, 1/3 for ranges, independence for ∧/∨);
     - {b hash-consing} — structurally equal subexpressions map to the same
       physical node via a memo table, so shared subtrees (ubiquitous in
-      calculus-translated queries, whose active-domain unions repeat the
-      adomᵏ construction) are evaluated once.
+      calculus-translated queries, whose anti-joins repeat their context)
+      are evaluated once.
 
     Because set operations are positionally compatible, a chain whose
     greedy order differs from the syntactic one ends in a positional

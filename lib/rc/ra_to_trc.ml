@@ -37,10 +37,25 @@ let conj a b =
 (* Equate the output columns of two representations pairwise. *)
 let columns_equal ra rb =
   List.fold_left2
-    (fun acc (_, ta) (_, tb) -> conj acc (Trc.Cmp (Diagres_logic.Fol.Eq, ta, tb)))
+    (fun acc (_, ta) (_, tb) ->
+      if ta = tb then acc else conj acc (Trc.Cmp (Diagres_logic.Fol.Eq, ta, tb)))
     Trc.True ra.cols rb.cols
 
-let rec translate env supply (e : A.t) : rep =
+(* [reuse = (a, ra)]: [a] is the left operand of an enclosing difference,
+   already bound as [ra].  Met at the end of the spine of the right operand
+   (the path through selections, column-keeping projections and left join
+   operands), [a] stands for the tuple being tested, so it reuses [ra]'s
+   variables instead of a copy of its ranges: the anti-join
+   [a − π(a ⋈ x)] becomes [a ∧ ¬∃x(…)], correlated on [a]'s variables. *)
+let rec translate ?reuse env supply (e : A.t) : rep =
+  match reuse with
+  | Some (a, ra) when A.equal e a -> { ra with ranges = []; body = Trc.True }
+  | _ -> translate_node ?reuse env supply e
+
+and translate_node ?reuse env supply (e : A.t) : rep =
+  (* [spine] continues the spine of a reused operand; [fresh] leaves it *)
+  let spine e1 = translate ?reuse env supply e1 in
+  let fresh e1 = translate env supply e1 in
   match e with
   | A.Rel r ->
     let attrs = Diagres_data.Schema.names (Diagres_ra.Typecheck.infer env e) in
@@ -50,17 +65,22 @@ let rec translate env supply (e : A.t) : rep =
       cols = List.map (fun a -> (a, Trc.Field (v, a))) attrs }
   | A.Empty e1 ->
     (* the calculus has no ∅ literal; e − e is the classical encoding *)
-    translate env supply (A.Diff (e1, e1))
+    fresh (A.Diff (e1, e1))
   | A.Select (p, e1) ->
-    let r1 = translate env supply e1 in
+    let r1 = spine e1 in
     { r1 with body = conj r1.body (pred_formula r1.cols p) }
   | A.Project (attrs, e1) ->
-    let r1 = translate env supply e1 in
+    let keeps_reused =
+      match reuse with
+      | Some (_, ra) -> List.for_all (fun (a, _) -> List.mem a attrs) ra.cols
+      | None -> false
+    in
+    let r1 = if keeps_reused then spine e1 else fresh e1 in
     (* ranges stay free: projection is just head narrowing under set
        semantics *)
     { r1 with cols = List.map (fun a -> (a, List.assoc a r1.cols)) attrs }
   | A.Rename (pairs, e1) ->
-    let r1 = translate env supply e1 in
+    let r1 = fresh e1 in
     let cols =
       List.map
         (fun (a, t) ->
@@ -71,12 +91,14 @@ let rec translate env supply (e : A.t) : rep =
     in
     { r1 with cols }
   | A.Product (a, b) ->
-    let ra = translate env supply a and rb = translate env supply b in
+    let ra = spine a in
+    let rb = fresh b in
     { ranges = ra.ranges @ rb.ranges;
       body = conj ra.body rb.body;
       cols = ra.cols @ rb.cols }
   | A.Join (a, b) ->
-    let ra = translate env supply a and rb = translate env supply b in
+    let ra = spine a in
+    let rb = fresh b in
     let shared = List.filter (fun (n, _) -> List.mem_assoc n ra.cols) rb.cols in
     let joins =
       List.fold_left
@@ -91,13 +113,15 @@ let rec translate env supply (e : A.t) : rep =
       body = conj (conj ra.body rb.body) joins;
       cols = ra.cols @ b_rest }
   | A.Theta_join (p, a, b) ->
-    let ra = translate env supply a and rb = translate env supply b in
+    let ra = spine a in
+    let rb = fresh b in
     let cols = ra.cols @ rb.cols in
     { ranges = ra.ranges @ rb.ranges;
       body = conj (conj ra.body rb.body) (pred_formula cols p);
       cols }
   | A.Inter (a, b) ->
-    let ra = translate env supply a and rb = translate env supply b in
+    let ra = spine a in
+    let rb = fresh b in
     (* A ∩ B  =  A(t̄) ∧ ∃(B's ranges): B(ū) ∧ t̄ = ū *)
     let inner = conj rb.body (columns_equal ra rb) in
     let quantified =
@@ -105,20 +129,68 @@ let rec translate env supply (e : A.t) : rep =
     in
     { ranges = ra.ranges; body = conj ra.body quantified; cols = ra.cols }
   | A.Diff (a, b) ->
-    let ra = translate env supply a and rb = translate env supply b in
+    let ra = spine a in
+    let rb =
+      (* reuse needs b's columns to line up with a's by name, since the
+         difference compares positionally *)
+      let names r = List.map fst r.cols in
+      let rb = translate ~reuse:(a, ra) env supply b in
+      if names rb = names ra then rb else fresh b
+    in
     let inner = conj rb.body (columns_equal ra rb) in
     let quantified =
       if rb.ranges = [] then inner else Trc.Exists (rb.ranges, inner)
     in
     { ranges = ra.ranges; body = conj ra.body (Trc.Not quantified); cols = ra.cols }
   | A.Union _ -> raise Union_not_supported
-  | A.Division _ -> translate env supply (Ra_rewrite.eliminate_division env e)
+  | A.Division _ -> fresh (Ra_rewrite.eliminate_division env e)
+
+(* Renumber the tuple variables: the ranges the head mentions first, then
+   the query's other ranges, then the quantified ones.  The supply numbers
+   variables in translation order, so without this two panels of one union
+   could name the same head range differently, depending on how many ranges
+   their negated parts consumed first. *)
+let renumber (q : Trc.query) : Trc.query =
+  let rec declared = function
+    | Trc.True | Trc.False | Trc.Cmp _ -> []
+    | Trc.Not f -> declared f
+    | Trc.And (a, b) | Trc.Or (a, b) | Trc.Implies (a, b) ->
+      declared a @ declared b
+    | Trc.Exists (rs, f) | Trc.Forall (rs, f) -> rs @ declared f
+  in
+  let in_head (v, _) = List.mem v (List.concat_map Trc.term_vars q.Trc.head) in
+  let head_ranges, other_ranges = List.partition in_head q.Trc.ranges in
+  let ranges = head_ranges @ other_ranges @ declared q.Trc.body in
+  let fresh =
+    List.mapi
+      (fun i (v, r) ->
+        let prefix = String.lowercase_ascii (String.sub r 0 1) in
+        (v, Printf.sprintf "%s_%d" prefix (i + 1)))
+      ranges
+  in
+  let var v = match List.assoc_opt v fresh with Some v' -> v' | None -> v in
+  let term = function Trc.Field (v, a) -> Trc.Field (var v, a) | t -> t in
+  let rename_ranges = List.map (fun (v, r) -> (var v, r)) in
+  let rec formula = function
+    | (Trc.True | Trc.False) as f -> f
+    | Trc.Cmp (op, a, b) -> Trc.Cmp (op, term a, term b)
+    | Trc.Not f -> Trc.Not (formula f)
+    | Trc.And (a, b) -> Trc.And (formula a, formula b)
+    | Trc.Or (a, b) -> Trc.Or (formula a, formula b)
+    | Trc.Implies (a, b) -> Trc.Implies (formula a, formula b)
+    | Trc.Exists (rs, f) -> Trc.Exists (rename_ranges rs, formula f)
+    | Trc.Forall (rs, f) -> Trc.Forall (rename_ranges rs, formula f)
+  in
+  { Trc.head = List.map term q.Trc.head;
+    ranges = rename_ranges q.Trc.ranges;
+    body = formula q.Trc.body }
 
 (** Translate one union-free expression to a single TRC query. *)
 let union_free_query env (e : A.t) : Trc.query =
   let supply = N.create () in
   let rep = translate env supply e in
-  { Trc.head = List.map snd rep.cols; ranges = rep.ranges; body = rep.body }
+  renumber
+    { Trc.head = List.map snd rep.cols; ranges = rep.ranges; body = rep.body }
 
 (** General entry point: a list of TRC queries whose union is the input —
     one per Relational-Diagram panel. *)

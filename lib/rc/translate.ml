@@ -3,6 +3,13 @@
     Direct arrows: TRC→DRC ({!Trc_to_drc}), DRC→RA ({!Drc_to_ra}),
     RA→DRC ({!Ra_to_drc}), RA→TRC ({!Ra_to_trc}).  The remaining arrows
     compose: TRC→RA = DRC→RA ∘ TRC→DRC, and DRC→TRC = RA→TRC ∘ DRC→RA.
+
+    DRC→RA is the one calculus-to-algebra lowering (SQL and Datalog reach
+    RA through it too).  It is range-restricted: each variable ranges over
+    the relation that guards it, ∃ becomes a join and ¬∃ / ∀…⇒ an
+    anti-join against the enclosing context; only an unranged variable
+    falls back to the active domain.  RA→TRC reads that anti-join back as
+    a correlated ¬∃, so DRC→TRC yields the nested NOT EXISTS form.
     Every arrow is differential-tested for semantics preservation. *)
 
 type schemas = (string * Diagres_data.Schema.t) list

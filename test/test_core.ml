@@ -106,16 +106,57 @@ let test_language_parse_errors () =
     Alcotest.(check string) "ra parse code" "E-RA-PARSE-001" d.Diagres_diag.Diag.code
   | _ -> Alcotest.fail "bad ra must raise a parse diagnostic"
 
+(* Every subtree of an RA expression, the expression included. *)
+let rec ra_subterms (e : Diagres_ra.Ast.t) =
+  let module A = Diagres_ra.Ast in
+  e
+  ::
+  (match e with
+  | A.Rel _ -> []
+  | A.Empty a | A.Select (_, a) | A.Project (_, a) | A.Rename (_, a) ->
+    ra_subterms a
+  | A.Product (a, b) | A.Join (a, b) | A.Theta_join (_, a, b)
+  | A.Union (a, b) | A.Inter (a, b) | A.Diff (a, b) | A.Division (a, b) ->
+    ra_subterms a @ ra_subterms b)
+
+(* The calculus lowering ranges every catalog variable over the relation
+   that guards it: the lowered plan answers like the source and holds no
+   active-domain subterm. *)
 let test_to_ra_semantics () =
+  let module A = Diagres_ra.Ast in
+  (* adom x ends in a projection onto x or a renaming to x *)
+  let column_names sub =
+    match sub with
+    | A.Project (xs, _) -> xs
+    | A.Rename (pairs, _) -> List.map snd pairs
+    | _ -> []
+  in
   List.iter
     (fun e ->
-      let q = L.parse L.Trc e.Diagres.Catalog.trc in
-      let ra = L.to_ra schemas q in
-      Testutil.check_same_rows
-        ("to_ra " ^ e.Diagres.Catalog.id)
-        (L.eval db q)
-        (Diagres_ra.Eval.eval db ra))
-    Diagres.Catalog.all
+      List.iter
+        (fun (lang, src) ->
+          let tag = e.Diagres.Catalog.id ^ "/" ^ L.name lang in
+          let q = L.parse lang src in
+          let ra = L.to_ra schemas q in
+          Testutil.check_same_rows ("to_ra " ^ tag) (L.eval db q)
+            (Diagres_ra.Eval.eval db ra);
+          let subs = ra_subterms ra in
+          List.iter
+            (fun x ->
+              if List.mem (Diagres_rc.Drc_to_ra.adom schemas x) subs then
+                Alcotest.failf "%s: lowered plan has the active domain of %s"
+                  tag x)
+            (List.sort_uniq compare (List.concat_map column_names subs)))
+        [ (L.Sql, e.Diagres.Catalog.sql); (L.Trc, e.Diagres.Catalog.trc);
+          (L.Drc, e.Diagres.Catalog.drc);
+          (L.Datalog, e.Diagres.Catalog.datalog) ])
+    Diagres.Catalog.all;
+  let q1 = L.parse L.Trc (Diagres.Catalog.find "q1").Diagres.Catalog.trc in
+  Alcotest.(check bool)
+    "q1 from TRC lowers to joins, no product" false
+    (List.exists
+       (function A.Product _ -> true | _ -> false)
+       (ra_subterms (L.to_ra schemas q1)))
 
 (* ---------------- pipeline ---------------- *)
 

@@ -13,6 +13,8 @@
      object the LRU plan cache serves to ad-hoc [eval_planned] calls,
      whose [Plan.run] resets the per-node memos — maintenance must keep
      working because its state lives with the view, not on plan nodes;
+   - views registered from TRC and DRC (catalog q1 and q3), maintained
+     through the plans the calculus lowering produces;
    - a randomized insert/delete-stream differential: maintained result ≡
      recomputed ≡ naive, over qgen-generated plans, crossed over 1/4
      domains and columnar on/off (overridable via DIAGRES_DOMAINS /
@@ -254,6 +256,46 @@ let test_plan_cache_sharing () =
   done
 
 (* ------------------------------------------------------------------ *)
+(* Views written in a calculus: maintained through the plan their       *)
+(* lowering produced — q1 as joins, q3's ∀ as nested anti-joins.        *)
+
+let test_calculus_views () =
+  let db = D.Generator.sailors_db_columnar ~n_sailors:300 ~n_boats:6 7 in
+  let reg = Views.create db in
+  (* each view with its reference: native TRC evaluation of the entry *)
+  let views =
+    List.concat_map
+      (fun id ->
+        let e = Diagres.Catalog.find id in
+        let reference = Languages.parse Languages.Trc e.Diagres.Catalog.trc in
+        List.map
+          (fun (lang, source) ->
+            let name = id ^ "/" ^ Languages.name lang in
+            (Views.register reg ~name ~lang ~source, reference))
+          [ (Languages.Trc, e.Diagres.Catalog.trc);
+            (Languages.Drc, e.Diagres.Catalog.drc) ])
+      [ "q1"; "q3" ]
+  in
+  let r = D.Generator.rng 7 in
+  for round = 1 to 4 do
+    let changes = D.Generator.update_batch ~frac:0.05 r (Views.database reg) in
+    ignore (Views.update reg changes);
+    List.iter
+      (fun ((v : Views.view), reference) ->
+        if not (Views.verify reg v) then
+          Alcotest.failf "round %d: view %s diverged from recomputation" round
+            v.Views.name;
+        let expected = Languages.eval (Views.database reg) reference in
+        if not (R.same_rows expected (Views.result v)) then
+          Alcotest.failf "round %d: view %s diverged from TRC evaluation"
+            round v.Views.name;
+        if R.is_empty (Views.result v) then
+          Alcotest.failf "round %d: view %s is empty; the instance is too thin"
+            round v.Views.name)
+      views
+  done
+
+(* ------------------------------------------------------------------ *)
 (* Randomized update-stream differential.                              *)
 
 let fuzz_n =
@@ -328,6 +370,9 @@ let () =
       ( "plan-sharing",
         [ Alcotest.test_case "maintenance survives ad-hoc Plan.run" `Quick
             test_plan_cache_sharing ] );
+      ( "calculus-views",
+        [ Alcotest.test_case "q1/q3 from TRC and DRC: maintained = recomputed"
+            `Quick test_calculus_views ] );
       ( "differential",
         [ Alcotest.test_case "update streams: maintained = naive" `Slow
             test_update_stream_differential ] ) ]

@@ -191,8 +191,6 @@ let test_trc_to_drc_semantics () =
     [ q1_trc; q3_trc; "{ s.sid, s.age | s in Sailor : s.rating > 7 }" ]
 
 let test_trc_to_ra_semantics () =
-  (* q3's ¬∃¬ pattern translates to differences over adomᵏ products, so the
-     negation-heavy case runs on the tiny instance *)
   let check on_db src =
     let q = trc src in
     let e = Diagres_rc.Translate.trc_to_ra schemas q in
@@ -200,7 +198,32 @@ let test_trc_to_ra_semantics () =
       (Diagres_ra.Eval.eval on_db e)
   in
   check db q1_trc;
-  check Testutil.tiny_db q3_trc
+  check db q3_trc
+
+(* DRC → RA → TRC reads the lowering's anti-joins back as correlated ¬∃:
+   the DRC form of q3 returns as one nested NOT EXISTS panel that ranges
+   over each relation once, not over copies of the outer sailor. *)
+let test_drc_to_trc_anti_join () =
+  let q3_drc =
+    "{ s | exists n, rt, a (Sailor(s, n, rt, a)) & forall b (forall bn \
+     (forall c (Boat(b, bn, c) & c = 'red' implies exists d (Reserves(s, b, \
+     d))))) }"
+  in
+  match Diagres_rc.Translate.drc_to_trc schemas (drc q3_drc) with
+  | [ q ] ->
+    let rec ranges = function
+      | T.True | T.False | T.Cmp _ -> []
+      | T.Not f -> ranges f
+      | T.And (a, b) | T.Or (a, b) | T.Implies (a, b) -> ranges a @ ranges b
+      | T.Exists (rs, f) | T.Forall (rs, f) -> List.map snd rs @ ranges f
+    in
+    Alcotest.(check (list string))
+      "relations ranged over" [ "Sailor"; "Boat"; "Reserves" ]
+      (List.map snd q.T.ranges @ ranges q.T.body);
+    Testutil.check_same_rows "q3 answer"
+      (Testutil.sids D.Sample_db.q3_expected_sids)
+      (T.eval db q)
+  | panels -> Alcotest.failf "expected one panel, got %d" (List.length panels)
 
 let prop_ra_to_trc_roundtrip =
   QCheck.Test.make ~name:"RA → TRC panels preserve semantics" ~count:80
@@ -238,8 +261,6 @@ let prop_drc_to_ra_roundtrip =
   QCheck.Test.make ~name:"DRC (from RA) → RA preserves semantics" ~count:40
     (Testutil.arbitrary_ra ~fuel:2 ())
     (fun e ->
-      (* tiny database: the adom-based translation materializes adom^k
-         intermediates under negation, so the domain must stay small *)
       let tdb = Testutil.tiny_db in
       let d = Diagres_rc.Translate.ra_to_drc env e in
       let e2 = Diagres_rc.Translate.drc_to_ra schemas d in
@@ -364,6 +385,8 @@ let () =
       ( "translate",
         [ Alcotest.test_case "trc→drc" `Quick test_trc_to_drc_semantics;
           Alcotest.test_case "trc→ra" `Quick test_trc_to_ra_semantics;
+          Alcotest.test_case "drc→trc anti-join" `Quick
+            test_drc_to_trc_anti_join;
           Alcotest.test_case "÷ elimination" `Quick test_ra_rewrite_division;
           Testutil.qtest prop_ra_to_trc_roundtrip;
           Testutil.qtest prop_ra_to_drc_roundtrip;

@@ -108,25 +108,16 @@ let test_translate_sql_fuzz () =
     translate_equiv "sql" i tiny_db (L.Q_sql (Q.gen_sql st schemas))
   done
 
-(* Calculus-source equivalence goes through the active-domain construction
-   on both sides (reference and every target), which is adom^k in the
-   number of column variables, so these two loops run a tenth of [fuzz_n]
-   (and the DRC shapes are kept shallow).  The >= [fuzz_n] bar of the
-   acceptance criteria applies to SQL sources above; full-depth TRC/DRC are
-   still print->parse fuzzed at [fuzz_n] in the identity test. *)
-let calculus_fuzz_n = max 1 (fuzz_n / 10)
-
 let test_translate_trc_fuzz () =
   let st = state () in
-  for i = 1 to calculus_fuzz_n do
+  for i = 1 to fuzz_n do
     translate_equiv "trc" i tiny_db (L.Q_trc (Q.gen_trc st schemas))
   done
 
 let test_translate_drc_fuzz () =
   let st = state () in
-  for i = 1 to calculus_fuzz_n do
-    translate_equiv "drc" i tiny_db
-      (L.Q_drc (Q.gen_drc ~max_ranges:1 ~depth:1 st schemas))
+  for i = 1 to fuzz_n do
+    translate_equiv "drc" i tiny_db (L.Q_drc (Q.gen_drc st schemas))
   done
 
 let test_translate_ra_fuzz () =
@@ -172,31 +163,16 @@ let test_catalog_identity () =
         catalog_langs)
     Diagres.Catalog.all
 
-(* Translation equivalence runs on the tiny instance: queries whose
-   translation goes through the active-domain construction (DRC → RA)
-   materialize adom^k intermediates, so the active domain must be small
-   (see {!Testutil.tiny_db}).  Per-language agreement on the full sample
+(* Translation equivalence runs on the tiny instance, with every catalog
+   query in every language.  Per-language agreement on the full sample
    database is covered by the catalog tests in test_core. *)
 let test_catalog_translate () =
   List.iter
     (fun (e : Diagres.Catalog.entry) ->
       List.iter
         (fun (lname, lang) ->
-          (* q3 (division) from the calculus side needs the unrestricted
-             active-domain expansion: every variable ranges over every
-             attribute, and the nested double negation multiplies those
-             branches into an intractable panel union.  SQL/RA/TRC sources
-             of q3 translate fine; the DRC/Datalog sources are out of the
-             range-restricted fragment the translator handles in practice. *)
-          if
-            not
-              (e.Diagres.Catalog.id = "q3"
-              && (lang = L.Drc || lang = L.Datalog))
-          then
-            let q = L.parse lang (catalog_src e lang) in
-            translate_equiv
-              (e.Diagres.Catalog.id ^ "/" ^ lname)
-              0 tiny_db q)
+          let q = L.parse lang (catalog_src e lang) in
+          translate_equiv (e.Diagres.Catalog.id ^ "/" ^ lname) 0 tiny_db q)
         catalog_langs)
     Diagres.Catalog.all
 
