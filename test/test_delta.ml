@@ -370,9 +370,9 @@ let () =
       ( "plan-sharing",
         [ Alcotest.test_case "maintenance survives ad-hoc Plan.run" `Quick
             test_plan_cache_sharing ] );
-      ( "calculus-views",
-        [ Alcotest.test_case "q1/q3 from TRC and DRC: maintained = recomputed"
-            `Quick test_calculus_views ] );
+      ( "calculus",
+        [ Alcotest.test_case "q1/q3 views from TRC and DRC" `Quick
+            test_calculus_views ] );
       ( "differential",
         [ Alcotest.test_case "update streams: maintained = naive" `Slow
             test_update_stream_differential ] ) ]
