@@ -1034,34 +1034,54 @@ let e13_table ~quick ~huge () =
      before timing, the repeated-query steady state)\n"
 
 (* E14: incremental view maintenance.  A registered join view under an
-   update stream: per round, 1% of Reserves is deleted and a like number
-   of fresh reservations inserted; the maintained result (differential
-   evaluation, Delta) is timed against re-planning and re-running the
-   query on the updated database (the plan cache can't help — the
-   database stamp changed).  The base-table update itself (apply) is the
-   shared cost both alternatives pay.  Timings are per-round bests over
-   [rounds] distinct batches; round 0 is an untimed warm-up that builds
-   the join-side index the delta probes reuse. *)
+   update stream: per round, 1% of the touched relations is deleted and a
+   like number of fresh rows inserted — Reserves alone (one join input
+   changes) or all three relations (both join inputs change); the
+   maintained result (differential evaluation, Delta) is timed against
+   re-planning and re-running the query on the updated database (the plan
+   cache can't help — the database stamp changed).  The base-table update
+   itself (apply) is the shared cost both alternatives pay.  Timings are
+   per-round bests over [rounds] distinct batches; round 0 is an untimed
+   warm-up that builds the view's join-side indexes.  A maintained result
+   that disagrees with the recomputed one makes the bench exit non-zero
+   (see [e14_disagreed]).  The timed view's few distinct names are each
+   supported by many join rows, so its result hardly moves and its
+   agreement alone would miss most join-delta errors; an untimed check
+   view keeps the (sid, bid) pairs of the same join and is compared every
+   round too. *)
+let e14_disagreed = ref false
+
 let e14_table ~quick () =
   hr "E14  incremental view maintenance: maintain vs recompute (1% batches)";
   let src = "project[sname](Sailor join Reserves)" in
   let e = Diagres_ra.Parser.parse src in
+  let check_e =
+    Diagres_ra.Parser.parse "project[sid, bid](Sailor join Reserves)"
+  in
   let sizes = if quick then [ 1000 ] else [ 10_000; 100_000; 1_000_000 ] in
-  Printf.printf "%-9s %9s %9s %12s %12s %12s %9s %7s\n" "sailors" "tuples"
-    "Δ rows" "apply(ms)" "maintain(ms)" "recomp(ms)" "speedup" "agree";
+  Printf.printf "%-9s %-9s %9s %9s %12s %12s %12s %9s %7s\n" "touch"
+    "sailors" "tuples" "Δ rows" "apply(ms)" "maintain(ms)" "recomp(ms)"
+    "speedup" "agree";
+  (* row-name suffix and the relations each round touches *)
+  let streams =
+    [ ("", "Reserves", [ "Reserves" ]);
+      ("-all", "all", [ "Sailor"; "Boat"; "Reserves" ]) ]
+  in
   List.iter
-    (fun n ->
+    (fun ((suffix, touch_label, relations), n) ->
       let db = ref (columnar_db n) in
       Gc.compact ();
       let ntup = Diagres_data.Database.total_tuples !db in
       let plan = Diagres_ra.Planner.plan !db e in
       let view = Diagres_ra.Delta.init plan in
+      let check_view =
+        Diagres_ra.Delta.init (Diagres_ra.Planner.plan !db check_e)
+      in
       let r = Diagres_data.Generator.rng (n + 13) in
       let rounds = if quick then 3 else 5 in
       let one_round () =
         let changes =
-          Diagres_data.Generator.update_batch ~relations:[ "Reserves" ]
-            ~frac:0.01 r !db
+          Diagres_data.Generator.update_batch ~relations ~frac:0.01 r !db
         in
         let t_apply, (db', applied) =
           walltimed (fun () -> Diagres_data.Database.apply_delta changes !db)
@@ -1081,16 +1101,20 @@ let e14_table ~quick () =
               + Diagres_data.Relation.cardinality del)
             0 applied
         in
+        let checked = Diagres_ra.Delta.maintain check_view applied in
         let agree =
           Diagres_data.Relation.same_rows recomputed
             rep.Diagres_ra.Delta.result
+          && Diagres_data.Relation.same_rows
+               (Diagres_ra.Eval.eval_planned !db check_e)
+               checked.Diagres_ra.Delta.result
         in
         (t_apply, t_maintain, t_recompute, delta_rows, agree)
       in
-      ignore (one_round ());
-      (* warm-up: builds the cached join-side index *)
+      (* warm-up: builds the view's join-side indexes *)
+      let _, _, _, _, agree0 = one_round () in
       let best3 = ref (infinity, infinity, infinity) in
-      let rows = ref 0 and agree_all = ref true in
+      let rows = ref 0 and agree_all = ref agree0 in
       for _ = 1 to rounds do
         let ta, tm, tr, dr, ag = one_round () in
         let ba, bm, br = !best3 in
@@ -1098,16 +1122,18 @@ let e14_table ~quick () =
         rows := dr;
         agree_all := !agree_all && ag
       done;
+      if not !agree_all then e14_disagreed := true;
       let ta, tm, tr = !best3 in
       record
-        ~name:(Printf.sprintf "e14/maintain/n=%d" n)
+        ~name:(Printf.sprintf "e14/maintain%s/n=%d" suffix n)
         ~ns:(tm *. 1e9) ~tuples:ntup ~rows:!rows;
       record
-        ~name:(Printf.sprintf "e14/recompute/n=%d" n)
+        ~name:(Printf.sprintf "e14/recompute%s/n=%d" suffix n)
         ~ns:(tr *. 1e9) ~tuples:ntup ~rows:!rows;
-      Printf.printf "%-9d %9d %9d %12.3f %12.3f %12.3f %8.1fx %7b\n" n ntup
-        !rows (ta *. 1e3) (tm *. 1e3) (tr *. 1e3) (tr /. tm) !agree_all)
-    sizes;
+      Printf.printf "%-9s %-9d %9d %9d %12.3f %12.3f %12.3f %8.1fx %7b\n"
+        touch_label n ntup !rows (ta *. 1e3) (tm *. 1e3) (tr *. 1e3)
+        (tr /. tm) !agree_all)
+    (List.concat_map (fun st -> List.map (fun n -> (st, n)) sizes) streams);
   Printf.printf
     "(apply = updating the base tables, paid by both alternatives; \
      maintain = differential propagation through the registered plan; \
@@ -1489,4 +1515,8 @@ let () =
     let status = check_baseline ~tolerance path in
     if status <> 0 then exit status
   | None -> ());
+  if !e14_disagreed then begin
+    prerr_endline "E14: a maintained view disagreed with recomputation";
+    exit 3
+  end;
   print_newline ()

@@ -84,10 +84,15 @@ let unregister t name = t.views <- List.remove_assoc name t.views
 let result (v : view) : R.t = Ra.Delta.result v.delta
 
 (** Apply [(relation, inserts, deletes)] batches to the database and
-    propagate the normalized deltas through every registered view.
+    propagate the normalized deltas through every registered view.  Plans
+    cached against the replaced database version are dropped from the
+    plan cache (each view keeps its own plan).
     Raises {!Diagres_data.Database.Unknown_relation}. *)
 let update t (changes : (string * R.t * R.t) list) : update_stats list =
   let db', applied = D.Database.apply_delta changes t.db in
+  let old_stamp = D.Database.stamp t.db in
+  if D.Database.stamp db' <> old_stamp then
+    Ra.Plan_cache.forget ~db_stamp:old_stamp;
   t.db <- db';
   List.map
     (fun (vname, v) ->

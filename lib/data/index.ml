@@ -65,16 +65,36 @@ let key positions (tup : Tuple.t) = Array.map (Tuple.get tup) positions
     hash with. *)
 let hash_key (k : Value.t array) = Vkey.hash k
 
+(** Add [tup] under its key.  The caller guarantees it is not indexed
+    already. *)
+let insert (ix : t) (tup : Tuple.t) : unit =
+  let k = key ix.positions tup in
+  match H.find_opt ix.table k with
+  | Some tups -> H.replace ix.table k (tup :: tups)
+  | None -> H.add ix.table k [ tup ]
+
+(** Drop [tup] (under {!Tuple.compare} equality) from its key's bucket;
+    an absent tuple is a no-op. *)
+let remove (ix : t) (tup : Tuple.t) : unit =
+  let k = key ix.positions tup in
+  match H.find_opt ix.table k with
+  | None -> ()
+  | Some tups -> (
+    (* a bucket holds each tuple once: copy only the prefix before it *)
+    let rec drop = function
+      | [] -> []
+      | u :: rest -> if Tuple.compare u tup = 0 then rest else u :: drop rest
+    in
+    match drop tups with
+    | [] -> H.remove ix.table k
+    | rest -> H.replace ix.table k rest)
+
 (** [build positions iter] indexes every tuple produced by [iter] on
     [positions]. *)
 let build (positions : int array) (iter : (Tuple.t -> unit) -> unit) : t =
-  let table = H.create 64 in
-  iter (fun tup ->
-      let k = key positions tup in
-      match H.find_opt table k with
-      | Some tups -> H.replace table k (tup :: tups)
-      | None -> H.add table k [ tup ]);
-  { positions; table }
+  let ix = { positions; table = H.create 64 } in
+  iter (insert ix);
+  ix
 
 (** Tuples whose key columns equal [k] (any order). *)
 let lookup (ix : t) (k : Value.t array) : Tuple.t list =
@@ -229,10 +249,15 @@ let cache_get (c : cache) ~owner positions (build : unit -> t) : t =
 
 (** Estimated heap bytes of one built index: the bucket table, the boxed
     key arrays, and the per-tuple list cells.  The indexed tuples
-    themselves belong to the relation and are not recounted. *)
-let memory_bytes (ix : t) =
+    themselves belong to the relation and are not recounted, unless
+    [~tuples:true] says the index owns them. *)
+let memory_bytes ?(tuples = false) (ix : t) =
   let word = 8 in
   let entries = H.length ix.table in
+  let tuple_bytes tups =
+    if tuples then List.fold_left (fun a t -> a + Tuple.memory_bytes t) 0 tups
+    else 0
+  in
   let payload =
     H.fold
       (fun k tups acc ->
@@ -240,7 +265,8 @@ let memory_bytes (ix : t) =
         + (word * (1 + Array.length k))             (* the key array *)
         + Array.fold_left
             (fun a v -> a + Value.memory_bytes v) 0 k
-        + (3 * word * List.length tups))            (* list cons cells *)
+        + (3 * word * List.length tups)             (* list cons cells *)
+        + tuple_bytes tups)
       ix.table 0
   in
   (word * Array.length ix.positions) + (5 * word * entries) + payload

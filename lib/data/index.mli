@@ -28,6 +28,15 @@ val hash_key : Value.t array -> int
 (** [build positions iter] indexes every tuple produced by [iter]. *)
 val build : int array -> ((Tuple.t -> unit) -> unit) -> t
 
+(** In-place maintenance of an index the caller owns outright — never one
+    served from a relation's cache, which other readers share.  [insert]
+    adds a tuple not yet indexed; [remove] drops a tuple (under
+    {!Tuple.compare} equality) from its key's bucket, ignoring absent
+    ones. *)
+val insert : t -> Tuple.t -> unit
+
+val remove : t -> Tuple.t -> unit
+
 (** Tuples matching the key, in no particular order. *)
 val lookup : t -> Value.t array -> Tuple.t list
 
@@ -69,8 +78,8 @@ val cache_get : cache -> owner:int -> int list -> (unit -> t) -> t
 
 (** Estimated heap bytes of one built index (buckets, keys, row-list
     cells; the indexed tuples belong to the relation and are not
-    recounted). *)
-val memory_bytes : t -> int
+    recounted unless [~tuples:true] says the index owns them). *)
+val memory_bytes : ?tuples:bool -> t -> int
 
 (** Estimated heap bytes of every index currently in the cache. *)
 val cache_memory_bytes : cache -> int

@@ -19,16 +19,19 @@
       transition, a retraction on 1→0.  (This is the one operator whose
       output multiplicity is unbounded, hence the one needing real
       counts.)
-    - {b hash/nl join}: Δ(L ⋈ R) = ΔL ⋈ R_old ∪ L_new ⋈ ΔR, evaluated by
-      {e ephemeral} join nodes over the delta and the maintained inputs
-      ({!Plan.exec_fresh}), so the existing kernels — including the
-      per-relation cached join-side indexes — do the work.  The hash join
-      probes the delta side and builds (or reuses the cached index) on
-      the stable side; when only one input changes, each round is O(|Δ|)
-      after the first.  Join outputs are injective in the (left, right)
-      row pair (every dropped right key column equals a kept left one),
-      so no support counts are needed: the two candidate sets cancel
-      signed overlaps by set difference.
+    - {b hash join}: Δ(L ⋈ R) = ΔL ⋈ R_old ∪ L_new ⋈ ΔR, probed against
+      two {e view-owned} key indexes, one per input, which the deltas
+      passing through the node keep current: ΔL probes the right index
+      (still R_old), ΔL is applied to the left index (now L_new), ΔR
+      probes it, and ΔR is applied to the right index.  Each index is
+      built once, on the first {!maintain}, from the input result {!init}
+      held; every later round costs O(|Δ| · fanout) whichever inputs
+      change.  Join outputs are injective in the (left, right) row pair
+      (every dropped right key column equals a kept left one), so no
+      support counts are needed: the two candidate sets cancel signed
+      overlaps by set difference;
+    - {b nl join}: the same identity, evaluated by {e ephemeral} join
+      nodes over the delta and the maintained inputs ({!Plan.exec_fresh});
     - {b union/intersect/minus}: membership probes of the (small) child
       deltas against the maintained child results — the support count of
       an output tuple is its presence count across the two children, so
@@ -38,16 +41,18 @@
       just the candidate groups whose keep-part appears in the delta.
 
     {b Where state lives.}  All differential state — maintained per-node
-    results, projection support counts — belongs to the view (this [t]),
-    {e never} to plan nodes: plans are shared through the LRU plan cache,
-    and any ad-hoc {!Plan.run} of the same plan resets the per-evaluation
-    node memos.  {!init} runs the plan once and snapshots every needed
-    node result into the view; {!maintain} reads and writes only this
-    view's state plus freshly built ephemeral nodes, so concurrent reuse
-    of the registered plan cannot corrupt maintenance.  Intermediate
-    results are snapshotted only where a rule above reads them (join and
-    set-op inputs, division, the root); pure filter/project chains keep
-    no intermediates. *)
+    results, projection support counts, hash-join side indexes — belongs
+    to the view (this [t]), {e never} to plan nodes: plans are shared
+    through the LRU plan cache, and any ad-hoc {!Plan.run} of the same
+    plan resets the per-evaluation node memos.  {!init} runs the plan
+    once and snapshots every needed node result into the view;
+    {!maintain} reads and writes only this view's state plus freshly
+    built ephemeral nodes, so concurrent reuse of the registered plan
+    cannot corrupt maintenance.  Intermediate
+    results are snapshotted only where a rule above reads them
+    (nested-loop join and set-op inputs, division, the root); hash-join
+    inputs are read only through the node's own side indexes, and pure
+    filter/project chains keep no intermediates. *)
 
 module D = Diagres_data
 module R = D.Relation
@@ -70,11 +75,18 @@ module TH = Hashtbl.Make (struct
       17 t
 end)
 
+(* One input of a hash-join node: the input result {!init} snapshotted,
+   until the first {!maintain} indexes it on the join key and drops it. *)
+type side = Pending of R.t | Built of D.Index.t
+
 type state = {
   mutable current : R.t option;
       (** maintained result of this node; [None] for nodes no delta rule
           reads (pure filter/project chains between snapshots) *)
   support : int TH.t option;  (** projection support counts *)
+  mutable sides : (side * side) option;
+      (** hash-join key indexes on the left ([lkey]) and right ([rkey])
+          inputs *)
 }
 
 type t = {
@@ -96,8 +108,8 @@ type report = { result : R.t; root_inserts : int; root_deletes : int }
 (* ---------------- which nodes keep maintained results ---------------- *)
 
 (* A node's maintained result is read by: the root (it *is* the view),
-   join and set-operation rules (membership probes and delta joins
-   against the sibling), and division (its own old result and both
+   nested-loop join and set-operation rules (membership probes and delta
+   joins against the sibling), and division (its own old result and both
    children).  Relabel derives its result by renaming its child's, so a
    needed relabel needs its child.  Scans always track the base relation
    (sharing the database binding — no extra storage). *)
@@ -114,9 +126,6 @@ let mark_needed (root : Plan.t) : (int, unit) Hashtbl.t =
     (fun (n : Plan.t) () ->
       match n.Plan.op with
       | Plan.Scan _ -> need n
-      | Plan.Hash_join j ->
-        need j.Plan.left;
-        need j.Plan.right
       | Plan.Nl_join (_, a, b)
       | Plan.Union (a, b)
       | Plan.Inter (a, b)
@@ -141,8 +150,8 @@ let bump tb u k =
   c
 
 (** Run the plan once (through {!Plan.run}, so the per-node memos are
-    freshly filled) and snapshot the node results and projection support
-    counts into view-owned state. *)
+    freshly filled) and snapshot the node results, projection support
+    counts and hash-join inputs into view-owned state. *)
 let init (plan : Plan.t) : t =
   let result = Plan.run plan in
   let needed = mark_needed plan in
@@ -162,10 +171,16 @@ let init (plan : Plan.t) : t =
           Some tb
         | _ -> None
       in
+      let sides =
+        match n.Plan.op with
+        | Plan.Hash_join j ->
+          Some (Pending (cached j.Plan.left), Pending (cached j.Plan.right))
+        | _ -> None
+      in
       Hashtbl.add states n.Plan.id
         { current =
             (if Hashtbl.mem needed n.Plan.id then Some (cached n) else None);
-          support })
+          support; sides })
     plan ();
   { plan; states; result; rounds = 0 }
 
@@ -201,76 +216,6 @@ let run_filter (schema : D.Schema.t) (p : Plan.pred) (rel : R.t) : R.t =
   end
   else R.filter p.Plan.holds rel
 
-(* ΔL ⋈ R (probe the delta on the left, build — or reuse the cached
-   per-relation index — on the right). *)
-let hash_join_delta (n : Plan.t) (j : Plan.hash_join) ~(probe : R.t)
-    ~(build : R.t) : R.t =
-  if R.is_empty probe || R.is_empty build then R.empty n.Plan.schema
-  else
-    Plan.exec_fresh
-      (Plan.mk
-         (Plan.Hash_join
-            { j with Plan.left = scan_of probe; right = scan_of build })
-         n.Plan.schema 0. (unit_dist n.Plan.schema))
-
-(* L ⋈ ΔR with the sides swapped so the *delta* is probed and the stable
-   left input carries the cached index: the ephemeral join computes
-   ΔR_full ++ L_rest, whose columns are then reordered into the original
-   output schema (every left key column equals its right key partner on a
-   matched row, so left keys are recovered from the right side), and the
-   residual predicate — compiled against the original output schema —
-   runs after the reorder. *)
-let hash_join_delta_swapped (n : Plan.t) (j : Plan.hash_join)
-    ~(probe : R.t) ~(build : R.t) : R.t =
-  if R.is_empty probe || R.is_empty build then R.empty n.Plan.schema
-  else begin
-    let arity_l = D.Schema.arity j.Plan.left.Plan.schema in
-    let arity_r = D.Schema.arity j.Plan.right.Plan.schema in
-    let is_lkey p = Array.exists (fun q -> q = p) j.Plan.lkey in
-    let l_rest =
-      Array.of_list
-        (List.filter (fun p -> not (is_lkey p)) (List.init arity_l Fun.id))
-    in
-    let swapped_schema =
-      j.Plan.right.Plan.schema
-      @ List.map
-          (fun p -> List.nth j.Plan.left.Plan.schema p)
-          (Array.to_list l_rest)
-    in
-    let swapped =
-      Plan.mk
-        (Plan.Hash_join
-           { Plan.left = scan_of probe;
-             right = scan_of build;
-             lkey = Array.of_list j.Plan.rkey;
-             rkey = Array.to_list j.Plan.lkey;
-             right_rest = l_rest;
-             residual = None })
-        swapped_schema 0. (unit_dist swapped_schema)
-    in
-    let joined = Plan.exec_fresh swapped in
-    (* positions in the swapped output for each column of n.schema *)
-    let rkey = Array.of_list j.Plan.rkey in
-    let rank_in_rest p =
-      let r = ref 0 in
-      Array.iteri (fun k q -> if q = p then r := k) l_rest;
-      !r
-    in
-    let out_idx =
-      Array.init (D.Schema.arity n.Plan.schema) (fun p ->
-          if p < arity_l then begin
-            match Array.find_index (fun q -> q = p) j.Plan.lkey with
-            | Some k -> rkey.(k) (* left key = matched right key column *)
-            | None -> arity_r + rank_in_rest p
-          end
-          else j.Plan.right_rest.(p - arity_l))
-    in
-    let reordered = R.map n.Plan.schema (proj_of out_idx) joined in
-    match j.Plan.residual with
-    | None -> reordered
-    | Some p -> R.filter p.Plan.holds reordered
-  end
-
 (* ΔA × B (or A × ΔB), filtered during enumeration — cost is the product
    of the two sides either way, so no swapping is needed. *)
 let nl_join_delta (n : Plan.t) (p : Plan.pred option) (da : R.t) (rb : R.t) :
@@ -303,6 +248,18 @@ let mem_in_old tup (r : round) =
   || R.mem tup r.del
 
 let mem_in_cur tup (r : round) = R.mem tup (Option.get r.cur)
+
+(* A hash-join side's key index, built from the snapshotted input on the
+   node's first round. *)
+let side_index positions = function
+  | Built ix -> ix
+  | Pending r -> D.Index.build positions (fun f -> R.iter f r)
+
+(* Child deltas arrive normalized (inserts new, deletes present), so
+   applying them keeps a side index exact. *)
+let apply_to ix (r : round) =
+  R.iter (D.Index.remove ix) r.del;
+  R.iter (D.Index.insert ix) r.ins
 
 let maintain (t : t) (updates : (string * R.t * R.t * R.t) list) : report =
   let t0 = T.now_ns () in
@@ -391,23 +348,44 @@ let maintain (t : t) (updates : (string * R.t * R.t * R.t) list) : report =
       { ins = rn rc.ins; del = rn rc.del; old_; cur }
     | Plan.Hash_join j ->
       let rl = go j.Plan.left and rr = go j.Plan.right in
-      (* Δ(L ⋈ R) = ΔL ⋈ R_old ∪ L_new ⋈ ΔR: with a single-sided update
-         stream the stable side's cached index persists across rounds,
-         making each round O(|Δ| · fanout) *)
-      let l_old = Option.get rl.old_ and l_cur = Option.get rl.cur in
-      let r_old = Option.get rr.old_ in
-      ignore l_old;
-      let ins_cand =
-        runion
-          (hash_join_delta n j ~probe:rl.ins ~build:r_old)
-          (hash_join_delta_swapped n j ~probe:rr.ins ~build:l_cur)
+      let st = state n in
+      let rkey = Array.of_list j.Plan.rkey in
+      let lix, rix =
+        match st.sides with
+        | Some (l, r) -> (side_index j.Plan.lkey l, side_index rkey r)
+        | None -> assert false (* init gave every hash join its sides *)
       in
-      let del_cand =
-        runion
-          (hash_join_delta n j ~probe:rl.del ~build:r_old)
-          (hash_join_delta_swapped n j ~probe:rr.del ~build:l_cur)
+      st.sides <- Some (Built lix, Built rix);
+      let emit ta tb acc =
+        let out =
+          D.Tuple.concat ta (Array.map (D.Tuple.get tb) j.Plan.right_rest)
+        in
+        match j.Plan.residual with
+        | Some p when not (p.Plan.holds out) -> acc
+        | _ -> out :: acc
       in
-      finalize n (combine_signed ins_cand del_cand)
+      (* every [delta] row probes [ix] on its own key [positions] *)
+      let probe ix positions pair delta acc =
+        R.fold
+          (fun d acc ->
+            List.fold_left
+              (fun acc m -> pair d m acc)
+              acc
+              (D.Index.lookup ix (D.Index.key positions d)))
+          delta acc
+      in
+      (* Δ(L ⋈ R) = ΔL ⋈ R_old ∪ L_new ⋈ ΔR: ΔL probes the right index
+         before ΔR reaches it, ΔR probes the left index after ΔL has *)
+      let left_delta = probe rix j.Plan.lkey emit in
+      let right_delta = probe lix rkey (fun tb ta -> emit ta tb) in
+      let ins = left_delta rl.ins [] and del = left_delta rl.del [] in
+      apply_to lix rl;
+      let ins = right_delta rr.ins ins and del = right_delta rr.del del in
+      apply_to rix rr;
+      finalize n
+        (combine_signed
+           (R.of_tuples n.Plan.schema ins)
+           (R.of_tuples n.Plan.schema del))
     | Plan.Nl_join (p, a, b) ->
       let ra = go a and rb = go b in
       let b_old = Option.get rb.old_ and a_cur = Option.get ra.cur in
@@ -525,10 +503,11 @@ let maintain (t : t) (updates : (string * R.t * R.t * R.t) list) : report =
 (* ---------------- memory accounting ---------------- *)
 
 (** Estimated bytes of the view's differential state: the maintained root
-    result, every snapshotted intermediate, and the projection
-    support-count tables (keys plus table cells) — the substrate of the
-    [memory_bytes.delta_state] gauge.  The plan itself is shared with the
-    plan cache and not counted here. *)
+    result, every snapshotted intermediate, the projection support-count
+    tables (keys plus table cells), and the hash-join side indexes with
+    the tuples they hold (or the input snapshot a side still waits to
+    index) — the substrate of the [memory_bytes.delta_state] gauge.  The
+    plan itself is shared with the plan cache and not counted here. *)
 let memory_bytes (t : t) : int =
   let word = 8 in
   let support_bytes tb =
@@ -541,6 +520,13 @@ let memory_bytes (t : t) : int =
       match st.current with Some r -> R.memory_bytes r | None -> 0
     in
     let sup = match st.support with Some tb -> support_bytes tb | None -> 0 in
-    acc + cur + sup
+    let side = function
+      | Pending r -> R.memory_bytes r
+      | Built ix -> D.Index.memory_bytes ~tuples:true ix
+    in
+    let sides =
+      match st.sides with Some (l, r) -> side l + side r | None -> 0
+    in
+    acc + cur + sup + sides
   in
   R.memory_bytes t.result + Hashtbl.fold state_bytes t.states 0

@@ -24,7 +24,8 @@
       relation changes the stamp and misses the cache.
 
     - {b Eviction} is least-recently-used over a fixed capacity
-      ({!set_capacity}, default 256 entries).
+      ({!set_capacity}, default 256 entries); {!forget} drops the entries
+      of one database version its owner has replaced.
 
     Hit/miss accounting lives on the telemetry counter registry
     ([plan_cache.hit] / [plan_cache.miss] / [plan_cache.evictions]), so
@@ -166,6 +167,17 @@ let find_or_plan (db : D.Database.t) (e : Ast.t) : Plan.t * bool =
         evict_if_full ();
         Hashtbl.replace table key { plan; last_used = !clock });
     (plan, false)
+
+(** Drop every plan cached against the database stamp [db_stamp].  A
+    caller that replaces a database version calls this with the old
+    version's stamp: its plans embed — and so keep alive — that version's
+    relations and node memos, and no lookup against the new version can
+    hit them. *)
+let forget ~db_stamp =
+  locked (fun () ->
+      Hashtbl.filter_map_inplace
+        (fun k e -> if k.db_stamp = db_stamp then None else Some e)
+        table)
 
 (** Number of plans currently cached. *)
 let entries () = length ()

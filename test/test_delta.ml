@@ -15,6 +15,11 @@
      working because its state lives with the view, not on plan nodes;
    - views registered from TRC and DRC (catalog q1 and q3), maintained
      through the plans the calculus lowering produces;
+   - two-sided join deltas: every join input changes every round, and the
+     view-owned side indexes must stay exact without any relation-level
+     index build after the first round;
+   - bounded state: the plan cache stays flat under a views update loop,
+     and the delta-state gauge counts the join side indexes;
    - a randomized insert/delete-stream differential: maintained result ≡
      recomputed ≡ naive, over qgen-generated plans, crossed over 1/4
      domains and columnar on/off (overridable via DIAGRES_DOMAINS /
@@ -296,6 +301,136 @@ let test_calculus_views () =
   done
 
 (* ------------------------------------------------------------------ *)
+(* Two-sided join deltas: Sailor, Boat and Reserves all change each     *)
+(* round, so both inputs of every join carry a delta.                   *)
+
+let index_builds () =
+  Diagres_telemetry.Telemetry.(
+    counter_named "index.cache.miss" + counter_named "index.cache.bypass")
+
+let has_residual_join (plan : Plan.t) =
+  Plan.fold_unique
+    (fun (n : Plan.t) acc ->
+      acc
+      || match n.Plan.op with
+         | Plan.Hash_join { Plan.residual = Some _; _ } -> true
+         | _ -> false)
+    plan false
+
+let test_two_sided_join_deltas () =
+  let db = D.Generator.sailors_db_columnar ~n_sailors:2000 ~n_boats:40 11 in
+  let reg = Views.create db in
+  let ra name source =
+    Views.register reg ~name ~lang:Languages.Ra ~source
+  in
+  let views =
+    [ ra "names" "project[sname](Sailor join Reserves)";
+      ra "q1" (Diagres.Catalog.find "q1").Diagres.Catalog.ra;
+      ra "q2" (Diagres.Catalog.find "q2").Diagres.Catalog.ra;
+      ra "residual" "select[age > bid](Sailor join Reserves)" ]
+  in
+  let residual = List.nth views 3 in
+  Alcotest.(check bool)
+    "the residual view plans a hash join with a residual" true
+    (has_residual_join residual.Views.plan);
+  (* apply through the database first, so the index counters see
+     Delta.maintain alone *)
+  let round label changes ~check_builds =
+    let db', applied = D.Database.apply_delta changes (Views.database reg) in
+    reg.Views.db <- db';
+    let before = index_builds () in
+    List.iter
+      (fun (v : Views.view) -> ignore (Delta.maintain v.Views.delta applied))
+      views;
+    if check_builds && index_builds () <> before then
+      Alcotest.failf "%s: maintenance built %d relation-level indexes" label
+        (index_builds () - before);
+    List.iter
+      (fun (v : Views.view) ->
+        let expected = Eval.eval db' v.Views.ra in
+        if not (R.same_rows expected (Views.result v)) then
+          Alcotest.failf "%s: view %s diverged from Eval.eval" label
+            v.Views.name)
+      views
+  in
+  let r = D.Generator.rng 11 in
+  for i = 1 to 20 do
+    round (Printf.sprintf "round %d" i)
+      (D.Generator.update_batch ~frac:0.05 r (Views.database reg))
+      ~check_builds:(i >= 2)
+  done;
+  (* hand-built: one Reserves tuple deleted and re-inserted in the same
+     batch (a no-op after normalization), plus every reservation of one
+     current sailor — a whole join-key bucket — deleted, then restored *)
+  let reserves = D.Database.find "Reserves" (Views.database reg) in
+  let sailors = D.Database.find "Sailor" (Views.database reg) in
+  let res_schema = R.schema reserves in
+  let none = R.empty res_schema in
+  let kept, bucket_sid =
+    let sailing u = R.exists (fun s -> V.compare s.(0) u.(0) = 0) sailors in
+    match R.tuples reserves with
+    | t :: rest -> (
+      match
+        List.find_opt (fun u -> V.compare u.(0) t.(0) <> 0 && sailing u) rest
+      with
+      | Some u -> (t, u.(0))
+      | None -> Alcotest.fail "no second sailor holds a reservation")
+    | [] -> Alcotest.fail "Reserves is empty"
+  in
+  let bucket =
+    R.filter (fun t -> V.compare t.(0) bucket_sid = 0) reserves
+  in
+  let readd = R.of_tuples res_schema [ kept ] in
+  round "bucket delete"
+    [ ("Reserves", readd, R.union readd bucket) ]
+    ~check_builds:true;
+  Alcotest.(check bool) "the kept tuple survives" true
+    (R.mem kept (D.Database.find "Reserves" (Views.database reg)));
+  round "bucket restore" [ ("Reserves", bucket, none) ] ~check_builds:true
+
+(* ------------------------------------------------------------------ *)
+(* Bounded state.                                                      *)
+
+let test_plan_cache_bounded () =
+  Plan_cache.clear ();
+  Fun.protect ~finally:Plan_cache.clear @@ fun () ->
+  let reg = Views.create (D.Generator.sailors_db ~n_sailors:30 3) in
+  let v =
+    Views.register reg ~name:"v" ~lang:Languages.Ra
+      ~source:"project[sname](Sailor join Reserves)"
+  in
+  let r = D.Generator.rng 3 in
+  for i = 1 to 50 do
+    ignore
+      (Views.update reg
+         (D.Generator.update_batch ~frac:0.2 r (Views.database reg)));
+    ignore (Eval.eval_planned (Views.database reg) v.Views.ra);
+    if Plan_cache.entries () > 2 then
+      Alcotest.failf "round %d: %d plans cached" i (Plan_cache.entries ())
+  done
+
+let test_delta_state_gauge () =
+  let reg =
+    Views.create (D.Generator.sailors_db_columnar ~n_sailors:500 ~n_boats:20 5)
+  in
+  ignore
+    (Views.register reg ~name:"v" ~lang:Languages.Ra
+       ~source:"project[sname](Sailor join Reserves)");
+  let gauge () =
+    Views.refresh_gauges reg;
+    Diagres_telemetry.Telemetry.gauge_named "memory_bytes.delta_state"
+  in
+  let registered = gauge () in
+  let r = D.Generator.rng 5 in
+  ignore
+    (Views.update reg
+       (D.Generator.update_batch ~frac:0.01 r (Views.database reg)));
+  let maintained = gauge () in
+  if maintained <= registered then
+    Alcotest.failf "delta state %d B after the first round, %d B before"
+      maintained registered
+
+(* ------------------------------------------------------------------ *)
 (* Randomized update-stream differential.                              *)
 
 let fuzz_n =
@@ -373,6 +508,14 @@ let () =
       ( "calculus",
         [ Alcotest.test_case "q1/q3 views from TRC and DRC" `Quick
             test_calculus_views ] );
+      ( "two-sided",
+        [ Alcotest.test_case "join deltas on both inputs" `Quick
+            test_two_sided_join_deltas ] );
+      ( "bounded",
+        [ Alcotest.test_case "plan cache under a views loop" `Quick
+            test_plan_cache_bounded;
+          Alcotest.test_case "gauge counts side indexes" `Quick
+            test_delta_state_gauge ] );
       ( "differential",
         [ Alcotest.test_case "update streams: maintained = naive" `Slow
             test_update_stream_differential ] ) ]
