@@ -197,7 +197,7 @@ let e10_table () =
 (* ------------------------------------------------------------------ *)
 (* JSON result sink (--json FILE): a versioned snapshot.  Every
    measurement below lands here as {name, ns_per_run, tuples, rows},
-   preceded by the schema version and the run-mode switches (so a
+   preceded by the schema version and the run mode (so a
    baseline taken in --quick mode is never silently compared against a
    full run), and followed by a snapshot of the telemetry metrics
    registry (cache hit/miss counters, pool utilization, memory gauges)
@@ -219,11 +219,9 @@ let write_json ~quick ~huge ~domains path =
   output_string oc "{\n";
   Printf.fprintf oc "\"schema_version\": %d,\n" snapshot_schema_version;
   Printf.fprintf oc
-    "\"mode\": {\"quick\": %b, \"huge\": %b, \"domains\": \"%s\", \
-     \"columnar\": %b, \"defer\": %b},\n"
+    "\"mode\": {\"quick\": %b, \"huge\": %b, \"domains\": \"%s\"},\n"
     quick huge
-    (String.concat "," (List.map string_of_int domains))
-    !Diagres_ra.Plan.columnar_enabled !Diagres_ra.Plan.defer_gathers;
+    (String.concat "," (List.map string_of_int domains));
   output_string oc "\"measurements\": [\n";
   let last = List.length rows - 1 in
   List.iteri
@@ -236,11 +234,9 @@ let write_json ~quick ~huge ~domains path =
     rows;
   output_string oc "],\n\"columnar\": ";
   Printf.fprintf oc
-    "{\"enabled\": %b, \"defer\": %b, \"batches\": %d, \"rows\": %d, \
-     \"fallback_row_mode\": %d, \"gathers_deferred\": %d, \
-     \"gathers_forced\": %d, \"sel_rows\": %d, \"dict_hit\": %d, \
-     \"dict_miss\": %d},\n"
-    !Diagres_ra.Plan.columnar_enabled !Diagres_ra.Plan.defer_gathers
+    "{\"batches\": %d, \"rows\": %d, \"fallback_row_mode\": %d, \
+     \"gathers_deferred\": %d, \"gathers_forced\": %d, \"sel_rows\": %d, \
+     \"dict_hit\": %d, \"dict_miss\": %d},\n"
     (T.counter_named "columnar.batches")
     (T.counter_named "columnar.rows")
     (T.counter_named "columnar.fallback_row_mode")
@@ -934,8 +930,9 @@ let lowering_table () =
     Diagres.Catalog.all
 
 (* ------------------------------------------------------------------ *)
-(* E13: the columnar substrate.  The same physical plan executed twice —
-   row-at-a-time (columnar disabled) vs vectorized over column batches —
+(* E13: the columnar substrate.  The same operator tree executed twice —
+   row-at-a-time (planned with the vectorization threshold out of reach,
+   so no node is marked vectorized) vs vectorized over column batches —
    on a selective filter and a key join, from 10k up to 1M sailors.  The
    ns/row columns are the point: the vectorized per-row cost stays flat
    as the input grows, so the speedup holds at scale.  The one-time
@@ -954,8 +951,18 @@ let columnar_db n =
      is what makes the 10M-row sweep affordable *)
   Diagres_data.Generator.sailors_db_columnar ~n_sailors:n (n + 7)
 
+(* A plan whose every operator runs its row kernel: the planner reads
+   [vec_threshold] when it builds the plan, so raising it past every
+   estimate leaves no node marked vectorized (or fusable). *)
+let row_plan ?optimize db e =
+  let old = !Diagres_ra.Plan.vec_threshold in
+  Diagres_ra.Plan.vec_threshold := max_int;
+  Fun.protect
+    ~finally:(fun () -> Diagres_ra.Plan.vec_threshold := old)
+    (fun () -> Diagres_ra.Planner.plan ?optimize db e)
+
 let e13_table ~quick ~huge () =
-  hr "E13  columnar vs row execution (same plan, kernels toggled)";
+  hr "E13  columnar vs row execution (same operator tree, kernels toggled)";
   let queries =
     [ ("filter", "select[rating > 7](Sailor)");
       ("join", "project[sname](Sailor join Reserves)");
@@ -967,7 +974,6 @@ let e13_table ~quick ~huge () =
     else if huge then [ 10_000; 100_000; 1_000_000; 10_000_000 ]
     else [ 10_000; 100_000; 1_000_000 ]
   in
-  let old_col = !Diagres_ra.Plan.columnar_enabled in
   (* at 10M+ rows the full 5-warm-up protocol would cost many minutes per
      cell, but a true single shot times the allocator, not the kernels:
      the first run's output buffers are freshly mapped pages (see the
@@ -989,26 +995,25 @@ let e13_table ~quick ~huge () =
       let plans =
         List.map
           (fun (qname, src) ->
-            (qname, Diagres_ra.Planner.plan rdb (Diagres_ra.Parser.parse src)))
+            let e = Diagres_ra.Parser.parse src in
+            (qname, Diagres_ra.Planner.plan rdb e, row_plan rdb e))
           queries
       in
       (* vectorized first, while only the columns are live; the row pass
          afterwards materializes boxed tuples on demand (memoized, so its
          warm-up pays the decode once, outside the timed region) *)
-      Diagres_ra.Plan.columnar_enabled := true;
       let col_times =
         List.map
-          (fun (qname, plan) ->
+          (fun (qname, plan, rplan) ->
             let warm = Diagres_ra.Plan.run plan in
             let t_col, r = sample n (fun () -> Diagres_ra.Plan.run plan) in
-            (qname, plan, warm, r, t_col))
+            (qname, rplan, warm, r, t_col))
           plans
       in
-      Diagres_ra.Plan.columnar_enabled := false;
       List.iter
-        (fun (qname, plan, warm, rcol, t_col) ->
-          let reference = Diagres_ra.Plan.run plan in
-          let t_row, _ = sample n (fun () -> Diagres_ra.Plan.run plan) in
+        (fun (qname, rplan, warm, rcol, t_col) ->
+          let reference = Diagres_ra.Plan.run rplan in
+          let t_row, _ = sample n (fun () -> Diagres_ra.Plan.run rplan) in
           let agree =
             Diagres_data.Relation.same_rows reference warm
             && Diagres_data.Relation.same_rows reference rcol
@@ -1025,12 +1030,11 @@ let e13_table ~quick ~huge () =
             (t_row /. float_of_int ntup *. 1e9)
             (t_col /. float_of_int ntup *. 1e9)
             agree)
-        col_times;
-      Diagres_ra.Plan.columnar_enabled := old_col)
+        col_times)
     sizes;
   Printf.printf
-    "(same physical plan both times — only the execution kernels differ; \
-     both modes run warm: columns converted and boxed tuples decoded \
+    "(same operator tree both times — only the execution kernels differ; \
+     both run warm: columns converted and boxed tuples decoded \
      before timing, the repeated-query steady state)\n"
 
 (* E14: incremental view maintenance.  A registered join view under an
@@ -1139,18 +1143,17 @@ let e14_table ~quick () =
      maintain = differential propagation through the registered plan; \
      recomp = re-plan + re-run on the updated database)\n"
 
-(* E15: late materialization.  Operator pipelines executed three ways on
-   the same physical plan — row mode, columnar with eager gathers (every
-   vectorized operator materializes its survivors), and columnar with
-   deferred gathers (a selection bitmap flows between operators and the
-   gather runs once, at the pipeline's end).  The filter chains are
-   planned without the logical optimizer, which would merge adjacent
-   selections into one conjunct: the point is the cost of an operator
-   {e pipeline} — one gather per operator vs one bitmap flowing through.
-   The timed region forces the final batch, so deferral cannot win by
-   pushing the last gather past the stopwatch. *)
+(* E15: late materialization.  Operator pipelines executed two ways on the
+   same operator tree — row kernels (planned with the vectorization
+   threshold out of reach) and columnar with deferred gathers (a selection
+   bitmap flows between operators and the gather runs once, at the
+   pipeline's end).  The filter chains are planned without the logical
+   optimizer, which would merge adjacent selections into one conjunct:
+   the point is the cost of an operator {e pipeline}, one bitmap flowing
+   through it.  The timed region forces the final batch, so deferral
+   cannot win by pushing the last gather past the stopwatch. *)
 let e15_table ~quick ~huge () =
-  hr "E15  late materialization: deferred vs eager gathers vs row";
+  hr "E15  late materialization: deferred gathers vs row";
   let queries n =
     [ ( "chain2", false,
         "select[rating > 3](select[age > 30.0](Sailor))" );
@@ -1169,16 +1172,14 @@ let e15_table ~quick ~huge () =
     else if huge then [ 10_000; 100_000; 1_000_000; 10_000_000 ]
     else [ 10_000; 100_000; 1_000_000 ]
   in
-  let old_col = !Diagres_ra.Plan.columnar_enabled in
-  let old_defer = !Diagres_ra.Plan.defer_gathers in
   let sample n f =
     if n >= 10_000_000 then (
       Gc.compact ();
       walltimed3 f)
     else walltimed3s f
   in
-  Printf.printf "%-15s %9s %10s %10s %10s %9s %9s %7s\n" "pipeline" "tuples"
-    "row(s)" "eager(s)" "defer(s)" "vs eager" "vs row" "agree";
+  Printf.printf "%-15s %9s %10s %10s %9s %7s\n" "pipeline" "tuples" "row(s)"
+    "defer(s)" "vs row" "agree";
   List.iter
     (fun n ->
       let rdb = columnar_db n in
@@ -1186,18 +1187,14 @@ let e15_table ~quick ~huge () =
       let ntup = Diagres_data.Database.total_tuples rdb in
       List.iter
         (fun (qname, optimize, src) ->
-          let plan =
-            Diagres_ra.Planner.plan ~optimize rdb (Diagres_ra.Parser.parse src)
-          in
+          let e = Diagres_ra.Parser.parse src in
           (* force the final materialization inside the timed region *)
-          let run () =
-            let r = Diagres_ra.Plan.run plan in
-            ignore (Diagres_data.Relation.batch r : Diagres_data.Batch.t);
-            r
-          in
-          let mode ~columnar ~defer =
-            Diagres_ra.Plan.columnar_enabled := columnar;
-            Diagres_ra.Plan.defer_gathers := defer;
+          let time plan =
+            let run () =
+              let r = Diagres_ra.Plan.run plan in
+              ignore (Diagres_data.Relation.batch r : Diagres_data.Batch.t);
+              r
+            in
             ignore (run ());
             (* warm: batches converted / tuples decoded *)
             sample n run
@@ -1205,32 +1202,27 @@ let e15_table ~quick ~huge () =
           (* deferred first, while only the columns are live; row mode
              last — its warm-up decodes boxed tuples, which then stay
              live as relation memos *)
-          let t_defer, r_defer = mode ~columnar:true ~defer:true in
-          let t_eager, r_eager = mode ~columnar:true ~defer:false in
-          let t_row, r_row = mode ~columnar:false ~defer:false in
-          let agree =
-            Diagres_data.Relation.same_rows r_row r_eager
-            && Diagres_data.Relation.same_rows r_row r_defer
+          let t_defer, r_defer =
+            time (Diagres_ra.Planner.plan ~optimize rdb e)
           in
+          let t_row, r_row = time (row_plan ~optimize rdb e) in
+          let agree = Diagres_data.Relation.same_rows r_row r_defer in
           let rows = Diagres_data.Relation.cardinality r_row in
           List.iter
             (fun (m, t) ->
               record
                 ~name:(Printf.sprintf "e15/%s/%s/n=%d" qname m n)
                 ~ns:(t *. 1e9) ~tuples:ntup ~rows)
-            [ ("row", t_row); ("eager", t_eager); ("deferred", t_defer) ];
-          Printf.printf "%-15s %9d %10.4f %10.4f %10.4f %8.1fx %8.1fx %7b\n"
-            qname ntup t_row t_eager t_defer (t_eager /. t_defer)
-            (t_row /. t_defer) agree)
-        (queries n);
-      Diagres_ra.Plan.columnar_enabled := old_col;
-      Diagres_ra.Plan.defer_gathers := old_defer)
+            [ ("row", t_row); ("deferred", t_defer) ];
+          Printf.printf "%-15s %9d %10.4f %10.4f %8.1fx %7b\n" qname ntup
+            t_row t_defer (t_row /. t_defer) agree)
+        (queries n))
     sizes;
   Printf.printf
-    "(same physical plan all three times; eager = every operator gathers \
-     its survivors, defer = selection bitmaps flow between operators and \
-     the one gather — forced inside the timed region — happens at the \
-     end; chains planned unoptimized so the pipeline is real)\n"
+    "(same operator tree both times; defer = selection bitmaps flow \
+     between operators and the one gather — forced inside the timed \
+     region — happens at the end; chains planned unoptimized so the \
+     pipeline is real)\n"
 
 let stage = Staged.stage
 
@@ -1395,70 +1387,52 @@ let e16_memory_table ~quick ~huge () =
       Gc.compact ())
     sizes
 
-let () =
-  let json_path =
-    let rec find = function
-      | "--json" :: path :: _ -> Some path
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    find (Array.to_list Sys.argv)
+(* The value after [flag] on the command line, if the flag is given.  A
+   flag with no value, or followed by another flag, is a usage error
+   (exit 2): [--json --quick] must not write a file named [--quick], and
+   a trailing [--json] must not be dropped silently. *)
+let flag_value flag =
+  let rec find = function
+    | f :: rest when f = flag -> (
+      match rest with
+      | v :: _ when not (String.starts_with ~prefix:"--" v) -> Some v
+      | _ ->
+        Printf.eprintf "bench: %s needs a value\n" flag;
+        exit 2)
+    | _ :: rest -> find rest
+    | [] -> None
   in
+  find (List.tl (Array.to_list Sys.argv))
+
+let () =
+  let json_path = flag_value "--json" in
   (* --quick: CI smoke mode — small scaling sizes, skip the bechamel micros *)
   let quick = Array.exists (fun a -> a = "--quick") Sys.argv in
   (* --huge: extend the E13 columnar sweep to 10M sailors *)
   let huge = Array.exists (fun a -> a = "--huge") Sys.argv in
   (* --domains 1,2,4,8: the E12 sweep's domain counts *)
   let domains =
-    let rec find = function
-      | "--domains" :: spec :: _ -> Some spec
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    match find (Array.to_list Sys.argv) with
+    match flag_value "--domains" with
     | Some spec ->
       List.map int_of_string (String.split_on_char ',' spec)
     | None -> if quick then [ 1; 2 ] else [ 1; 2; 4; 8 ]
   in
-  (* --columnar on|off: master switch for the vectorized kernels in every
-     table (same default as env DIAGRES_COLUMNAR; E13 toggles it per run
-     regardless, to measure both sides) *)
-  let () =
-    let rec find = function
-      | "--columnar" :: v :: _ -> Some v
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    match find (Array.to_list Sys.argv) with
-    | Some ("on" | "1" | "true") -> Diagres_ra.Plan.columnar_enabled := true
-    | Some ("off" | "0" | "false") -> Diagres_ra.Plan.columnar_enabled := false
-    | Some v -> Printf.eprintf "ignoring --columnar %s (want on|off)\n" v
-    | None -> ()
-  in
-  (* --defer on|off: late materialization (deferred gathers) in every
-     table (same default as env DIAGRES_DEFER; E15 toggles it per run
-     regardless, to measure both sides) *)
-  let () =
-    let rec find = function
-      | "--defer" :: v :: _ -> Some v
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    match find (Array.to_list Sys.argv) with
-    | Some ("on" | "1" | "true") -> Diagres_ra.Plan.defer_gathers := true
-    | Some ("off" | "0" | "false") -> Diagres_ra.Plan.defer_gathers := false
-    | Some v -> Printf.eprintf "ignoring --defer %s (want on|off)\n" v
-    | None -> ()
-  in
   (* --only e13,e14: run a subset of the sections (shape, scaling, tc,
      e11, e12, lowering, e13, e14, e15, e16, micro) *)
-  let only =
-    let rec find = function
-      | "--only" :: spec :: _ -> Some (String.split_on_char ',' spec)
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    find (Array.to_list Sys.argv)
+  let only = Option.map (String.split_on_char ',') (flag_value "--only") in
+  (* --check BASELINE [--tolerance PCT]: compare this run's measurements
+     against a committed snapshot and exit non-zero on regression; read
+     up front so a malformed command line fails before the tables run *)
+  let check_path = flag_value "--check" in
+  let tolerance =
+    match flag_value "--tolerance" with
+    | Some pct -> (
+      match float_of_string_opt pct with
+      | Some f when f >= 0. -> f
+      | _ ->
+        Printf.eprintf "ignoring --tolerance %s (want a percentage)\n" pct;
+        25.)
+    | None -> 25.
   in
   let want name = match only with None -> true | Some l -> List.mem name l in
   if want "shape" then begin
@@ -1485,31 +1459,6 @@ let () =
   if want "e16" then e16_memory_table ~quick ~huge ();
   if (not quick) && want "micro" then run_benchmarks ();
   Option.iter (write_json ~quick ~huge ~domains) json_path;
-  (* --check BASELINE [--tolerance PCT]: compare this run's measurements
-     against a committed snapshot and exit non-zero on regression *)
-  let check_path =
-    let rec find = function
-      | "--check" :: path :: _ -> Some path
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    find (Array.to_list Sys.argv)
-  in
-  let tolerance =
-    let rec find = function
-      | "--tolerance" :: pct :: _ -> Some pct
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    match find (Array.to_list Sys.argv) with
-    | Some pct -> (
-      match float_of_string_opt pct with
-      | Some f when f >= 0. -> f
-      | _ ->
-        Printf.eprintf "ignoring --tolerance %s (want a percentage)\n" pct;
-        25.)
-    | None -> 25.
-  in
   (match check_path with
   | Some path ->
     let status = check_baseline ~tolerance path in

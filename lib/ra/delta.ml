@@ -208,8 +208,7 @@ let scan_of (r : R.t) : Plan.t =
    canonical batches). *)
 let run_filter (schema : D.Schema.t) (p : Plan.pred) (rel : R.t) : R.t =
   if R.is_empty rel then rel
-  else if !Plan.columnar_enabled && R.cardinality rel >= !Plan.vec_threshold
-  then begin
+  else if R.cardinality rel >= !Plan.vec_threshold then begin
     let node = Plan.mk (Plan.Filter (p, scan_of rel)) schema 0. (unit_dist schema) in
     node.Plan.vec <- true;
     Plan.exec_fresh node

@@ -61,12 +61,13 @@ type t = {
           parallel paths, [vec]/[batches] for the vectorized paths *)
   mutable vec : bool;
       (** planner's choice: take the vectorized (columnar) execution path
-          when {!columnar_enabled}; set by {!mark_vectorized} *)
+          instead of the row kernels; set by {!mark_vectorized} from the
+          estimated input size *)
   mutable fuse : bool;
-      (** planner's choice: this filter/projection may emit a {e deferred
+      (** planner's choice: this filter/projection emits a {e deferred
           selection view} (no gather) because every consumer — or nobody,
           for the plan root — reads views natively; set by
-          {!mark_fusable}, acted on when {!defer_gathers} *)
+          {!mark_fusable} *)
 }
 
 and op =
@@ -158,20 +159,12 @@ let merge_chunks schema (chunks : D.Tuple.t list array) : D.Relation.t =
 
 (* ---------------- columnar execution knobs ---------------- *)
 
-(** Master switch for the vectorized paths; initialized from the
-    [DIAGRES_COLUMNAR] environment variable (off with [0]/[off]/[false]/
-    [no], on otherwise — mirroring [DIAGRES_DOMAINS]) and checked at
-    execution time, so a cached plan follows the current setting. *)
-let columnar_enabled =
-  ref
-    (match Sys.getenv_opt "DIAGRES_COLUMNAR" with
-    | Some ("0" | "off" | "false" | "no") -> false
-    | _ -> true)
-
 (** Minimum estimated input rows before the planner marks an operator
     vectorized — below this, forcing the columnar view costs more than the
-    tight loops save.  Mutable so the differential tests can force the
-    vectorized operators on tiny relations. *)
+    tight loops save.  Read when a plan is built (and when {!Delta} builds
+    its ephemeral delta filters), never by a running plan.  Mutable so the
+    differential tests can force the vectorized operators on tiny
+    relations ([0]) or pin a plan to the row kernels ([max_int]). *)
 let vec_threshold = ref 256
 
 (** Rows per vectorized batch: the unit the selection kernels and the
@@ -179,19 +172,6 @@ let vec_threshold = ref 256
     boundaries on tiny inputs.  (The filter rounds this up to a multiple
     of 63 so parallel batches write disjoint bitmap words.) *)
 let batch_rows = ref 4096
-
-(** Late-materialization master switch: when a planner-marked fusable
-    filter/projection runs, emit a deferred selection view (batch + word
-    bitmap, no gather) instead of materializing.  On by default;
-    [DIAGRES_DEFER=0]/[off]/[false]/[no] turns it off and every operator
-    gathers eagerly as in the pre-late-materialization engine — the bench
-    crosses the two modes and CI smokes both.  Checked at execution time,
-    so a cached plan follows the current setting. *)
-let defer_gathers =
-  ref
-    (match Sys.getenv_opt "DIAGRES_DEFER" with
-    | Some ("0" | "off" | "false" | "no") -> false
-    | _ -> true)
 
 let c_batches = T.counter "columnar.batches"
 let c_rows = T.counter "columnar.rows"
@@ -279,8 +259,9 @@ let concat_ints (parts : int array array) : int array =
 
 (* σ as a word-bitmap pass: compile the predicate into a bitmap filler
    once, run it batch by batch into one full-length bitmap, and either
-   emit a deferred selection view (late materialization: no gather at
-   all) or gather the surviving rows here.  A filter over a pending view
+   emit a deferred selection view (a fusable node — late materialization:
+   no gather at all) or gather the surviving rows here (a node whose
+   consumer needs a batch).  A filter over a pending view
    never gathers its input either: it runs the filler over the view's
    base batch and ANDs the two bitmaps, so chains of filters fuse into
    one bitmap with no intermediate materialization.  A selection from a
@@ -296,15 +277,14 @@ let vec_filter n (p : pred) (r : D.Relation.t) : D.Relation.t =
   let nrows = D.Batch.nrows base in
   let filler = Vector.compile_pred base n.schema p.ast in
   let nw = D.Column.words_for nrows in
-  let deferring = n.fuse && !defer_gathers in
   (* every batch writes its own disjoint word range of one full-length
      bitmap (batches are 63-row aligned, so ranges never straddle a word;
      safe from several domains), and the count / selection / gather run
      once over the whole relation.  The bitmap escapes into the result
-     view when deferring; otherwise it is per-domain pooled scratch and
+     view when the node is fusable; otherwise it is per-domain pooled scratch and
      steady-state filters allocate nothing here. *)
   let with_bits k =
-    if deferring then k (Array.make nw 0)
+    if n.fuse then k (Array.make nw 0)
     else D.Column.Scratch.with_words ~len:nrows k
   in
   with_bits @@ fun bits ->
@@ -332,7 +312,7 @@ let vec_filter n (p : pred) (r : D.Relation.t) : D.Relation.t =
       :: ("batches", Array.length parts) :: n.detail;
   if count = nrows then r (* every base row passes: input unchanged *)
   else if count = 0 then D.Relation.empty n.schema
-  else if deferring then begin
+  else if n.fuse then begin
     if T.enabled () then n.detail <- ("deferred", 1) :: n.detail;
     D.Relation.of_view ~canonical:prior_canonical ~count n.schema base bits
   end
@@ -355,7 +335,7 @@ let vec_project n idx (r : D.Relation.t) : D.Relation.t =
     let kept = D.Batch.columns base idx in
     T.add c_batches 1;
     T.add c_rows count;
-    if n.fuse && !defer_gathers then begin
+    if n.fuse then begin
       if T.enabled () then
         n.detail <-
           ("sel_rows", count) :: ("deferred", 1) :: ("vec", 1) :: n.detail;
@@ -629,12 +609,12 @@ let vec_division n (a : t) (b : t) (ra : D.Relation.t) (rb : D.Relation.t) :
    (materialized batch or pending deferred selection): counted so the
    telemetry shows where vectorization does not apply.  Both the aggregate
    counter and a per-operator labelled counter are bumped, so [qviz stats]
-   shows *which* operator fell back (the division holdout, a join with no
-   unboxed key view, …), not just that something did.  Interning the
+   shows *which* operator fell back (a nested-loop join, a hash join with
+   no unboxed key view, …), not just that something did.  Interning the
    labelled slot takes the registry mutex, but this runs once per operator
    execution, never per row. *)
 let note_row_fallback n inputs =
-  if !columnar_enabled && List.exists D.Relation.is_columnar inputs then begin
+  if List.exists D.Relation.is_columnar inputs then begin
     T.incr c_fallback;
     T.incr (T.counter ("columnar.fallback_row_mode." ^ op_kind n))
   end
@@ -710,7 +690,7 @@ and compute n : D.Relation.t =
   | Empty -> D.Relation.empty n.schema
   | Filter (p, c) ->
     let r = exec c in
-    if !columnar_enabled && n.vec then vec_filter n p r
+    if n.vec then vec_filter n p r
     else if not (parallel_for (D.Relation.cardinality r)) then
       D.Relation.filter p.holds r
     else begin
@@ -720,7 +700,7 @@ and compute n : D.Relation.t =
         (Pool.parallel_map_chunks ~chunk:!morsel_size (chunk_filter p.holds)
            arr)
     end
-  | Project (idx, c) when !columnar_enabled && n.vec ->
+  | Project (idx, c) when n.vec ->
     vec_project n idx (exec c)
   | Project (idx, c) ->
     let r = exec c in
@@ -739,13 +719,12 @@ and compute n : D.Relation.t =
   | Hash_join j -> (
     let lr = exec j.left and rr = exec j.right in
     match
-      if !columnar_enabled && n.vec then begin
+      if n.vec then begin
         match vec_hash_join n j lr rr with
         | Some r -> Some r
         | None ->
           (* key columns with no unboxed code view: row path *)
-          T.incr c_fallback;
-          T.incr (T.counter ("columnar.fallback_row_mode." ^ op_kind n));
+          note_row_fallback n [ lr; rr ];
           None
       end
       else None
@@ -874,11 +853,11 @@ and compute n : D.Relation.t =
         (Pool.parallel_map_chunks ~chunk:(chunk_for ca) pair_chunk
            (D.Relation.tuples_array ra))
     end
-  | Union (a, b) when !columnar_enabled && n.vec ->
+  | Union (a, b) when n.vec ->
     vec_setop n D.Batch.merge_union (exec a) (exec b)
-  | Inter (a, b) when !columnar_enabled && n.vec ->
+  | Inter (a, b) when n.vec ->
     vec_setop n D.Batch.merge_inter (exec a) (exec b)
-  | Diff (a, b) when !columnar_enabled && n.vec ->
+  | Diff (a, b) when n.vec ->
     vec_setop n D.Batch.merge_diff (exec a) (exec b)
   | Union (a, b) ->
     let ra = exec a and rb = exec b in
@@ -920,7 +899,7 @@ and compute n : D.Relation.t =
            (chunk_filter (fun t -> not (D.Relation.mem t rb)))
            (D.Relation.tuples_array ra))
     end
-  | Division (a, b) when !columnar_enabled && n.vec ->
+  | Division (a, b) when n.vec ->
     vec_division n a b (exec a) (exec b)
   | Division (a, b) ->
     let ra = exec a and rb = exec b in
@@ -941,8 +920,7 @@ let fold_unique f (root : t) init =
   in
   go init root
 
-(** Mark the nodes that should execute vectorized when {!columnar_enabled}:
-    filters and projections whose estimated input clears {!vec_threshold}
+(** Mark the nodes that execute vectorized: filters and projections whose estimated input clears {!vec_threshold}
     rows, hash joins where either side does, set operations (union /
     intersect / minus) likewise — canonical batches are sorted and
     duplicate-free, so those run as single linear merges with no hashing
@@ -950,8 +928,9 @@ let fold_unique f (root : t) init =
     Nested-loop joins stay in row mode — their sorted-set implementation
     already runs without per-row closure dispatch, and vectorizing them
     does not pay.  Called by {!Planner.plan} once cardinality estimates
-    exist; the flag is only acted on at execution time, so one plan serves
-    both modes. *)
+    exist; every other node runs the row kernels.  The mark is the whole
+    decision — execution follows it, so a cached plan always runs the
+    path it was planned for. *)
 let mark_vectorized root =
   let thr = float_of_int !vec_threshold in
   fold_unique
@@ -965,11 +944,10 @@ let mark_vectorized root =
         | _ -> false))
     root ()
 
-(** Mark the filters and projections that may emit a {e deferred selection
-    view} (no gather — late materialization) when {!defer_gathers}:
-    exactly the vectorized σ/π whose every consumer reads views natively
-    (a downstream vectorized filter, projection, or hash join), plus the
-    plan root — the final gather is deferred to whoever consumes the
+(** Mark the filters and projections that emit a {e deferred selection
+    view} (no gather — late materialization): exactly the vectorized σ/π
+    whose every consumer reads views natively (a downstream vectorized
+    filter, projection, or hash join), plus the plan root — the final gather is deferred to whoever consumes the
     result, and a cardinality probe or row-mode decode of a canonical
     view never pays for the column gather at all.  Everything else —
     set operations, division, nested-loop joins, row-mode operators — is

@@ -15,10 +15,10 @@
      quotient;
 
    - a qgen-driven 500-query differential: for each generated well-typed
-     RA query, the vectorized planned evaluator — with deferred gathers
-     on AND off — the row-mode planned evaluator, and the naive
-     tree-walking evaluator must agree — at 1 and at 4 domains, so the
-     batched kernels also run through the domain pool. *)
+     RA query, the vectorized planned evaluator, the row-kernel planned
+     evaluator (planned with the vectorization threshold out of reach),
+     and the naive tree-walking evaluator must agree — at 1 and at 4
+     domains, so the batched kernels also run through the domain pool. *)
 
 module D = Diagres_data
 module C = D.Column
@@ -37,33 +37,43 @@ let schemas = Testutil.schemas
    on tiny inputs: [vec_threshold = 0] marks every filter/project/join
    vectorized, [batch_rows = 3] forces multi-batch execution on the sample
    relations (the filter rounds it up to one 63-row word per batch), and
-   [par_threshold = 0] routes the batches through the pool.  [columnar]
-   toggles the master switch, so the same forcing covers both the
-   vectorized and the row fallback paths; [defer] crosses late
-   materialization (deferred selection views) against eager gathers. *)
-let forcing ?(columnar = true) ?(defer = true) domains f =
+   [par_threshold = 0] routes the batches through the pool. *)
+let forcing domains f =
   let old_size = Pool.size () in
   let old_thr = !Plan.par_threshold and old_morsel = !Plan.morsel_size in
   let old_vec = !Plan.vec_threshold and old_batch = !Plan.batch_rows in
-  let old_col = !Plan.columnar_enabled in
-  let old_defer = !Plan.defer_gathers in
   Pool.set_size domains;
   Plan.par_threshold := 0;
   Plan.morsel_size := 3;
   Plan.vec_threshold := 0;
   Plan.batch_rows := 3;
-  Plan.columnar_enabled := columnar;
-  Plan.defer_gathers := defer;
   Fun.protect
     ~finally:(fun () ->
       Pool.set_size old_size;
       Plan.par_threshold := old_thr;
       Plan.morsel_size := old_morsel;
       Plan.vec_threshold := old_vec;
-      Plan.batch_rows := old_batch;
-      Plan.columnar_enabled := old_col;
-      Plan.defer_gathers := old_defer)
+      Plan.batch_rows := old_batch)
     f
+
+(* The row leg: planned with the vectorization threshold out of reach, so
+   no node is marked [vec] and every operator runs its row kernel.  Call
+   inside [forcing], which restores the threshold. *)
+let row_plan e =
+  Plan.vec_threshold := max_int;
+  Planner.plan db e
+
+(* One query through both physical paths at [domains]: the columnar leg
+   (every eligible operator forced vectorized) and the row leg.  The third
+   component holds when the row leg left [columnar.rows] unmoved — only a
+   vectorized kernel bumps it, so a row plan that vectorized by mistake
+   shows up here. *)
+let both_legs domains e =
+  forcing domains (fun () ->
+      let columnar = Plan.run (Planner.plan db e) in
+      let rows0 = T.counter_named "columnar.rows" in
+      let row = Plan.run (row_plan e) in
+      (columnar, row, T.counter_named "columnar.rows" = rows0))
 
 (* ------------------------------------------------------------------ *)
 (* Columns: dictionary encoding.                                       *)
@@ -421,15 +431,13 @@ let test_late_materialization_project_after_join () =
       let naive = Diagres_ra.Eval.eval db e in
       List.iter
         (fun domains ->
-          List.iter
-            (fun defer ->
-              forcing ~defer domains (fun () ->
-                  Testutil.check_same_rows
-                    (Printf.sprintf "%s at %d domains defer=%b" q domains
-                       defer)
-                    naive
-                    (Plan.run (Planner.plan db e))))
-            [ true; false ])
+          let columnar, row, _ = both_legs domains e in
+          Testutil.check_same_rows
+            (Printf.sprintf "%s at %d domains, columnar" q domains)
+            naive columnar;
+          Testutil.check_same_rows
+            (Printf.sprintf "%s at %d domains, row" q domains)
+            naive row)
         [ 1; 4 ])
     queries
 
@@ -451,14 +459,9 @@ let test_division_vec () =
     (fun q ->
       let e = parse q in
       let naive = Diagres_ra.Eval.eval db e in
-      List.iter
-        (fun columnar ->
-          forcing ~columnar 1 (fun () ->
-              Testutil.check_same_rows
-                (Printf.sprintf "%s columnar=%b" q columnar)
-                naive
-                (Plan.run (Planner.plan db e))))
-        [ true; false ])
+      let columnar, row, _ = both_legs 1 e in
+      Testutil.check_same_rows (q ^ ", columnar") naive columnar;
+      Testutil.check_same_rows (q ^ ", row") naive row)
     queries
 
 (* ------------------------------------------------------------------ *)
@@ -511,20 +514,31 @@ let test_counters () =
       Testutil.check_same_rows "fused chain" naive r);
   Alcotest.(check bool) "gathers deferred counted" true
     (T.counter_named "columnar.gathers_deferred" > d0);
-  (* with deferral off, the same plan defers nothing *)
-  let d1 = T.counter_named "columnar.gathers_deferred" in
-  forcing ~defer:false 1 (fun () ->
-      let e =
-        Diagres_ra.Parser.parse
-          "select[rating > 3](select[age > 20.0](Sailor))"
-      in
-      ignore (Plan.run (Planner.plan db e) : D.Relation.t));
-  Alcotest.(check int) "eager mode defers nothing" d1
-    (T.counter_named "columnar.gathers_deferred")
+  (* a vectorized filter consumed by a set operation or a nested-loop
+     join is not fusable: it gathers, and defers nothing *)
+  List.iter
+    (fun src ->
+      let d1 = T.counter_named "columnar.gathers_deferred" in
+      forcing 1 (fun () ->
+          let plan = Planner.plan db (Diagres_ra.Parser.parse src) in
+          Plan.fold_unique
+            (fun n () ->
+              match n.Plan.op with
+              | Plan.Filter _ ->
+                Alcotest.(check (pair bool bool))
+                  (src ^ ": filter vec, not fuse") (true, false)
+                  (n.Plan.vec, n.Plan.fuse)
+              | _ -> ())
+            plan ();
+          ignore (Plan.run plan : D.Relation.t));
+      Alcotest.(check int) (src ^ ": defers nothing") d1
+        (T.counter_named "columnar.gathers_deferred"))
+    [ "select[rating > 7](Sailor) union select[rating <= 3](Sailor)";
+      "select[rating > 7](Sailor) * select[color = 'red'](Boat)" ]
 
 (* ------------------------------------------------------------------ *)
-(* The 500-query differential: columnar (deferred and eager) ≡ row ≡   *)
-(* naive at 1 and 4 domains, with forced-small batches.                *)
+(* The 500-query differential: columnar ≡ row ≡ naive at 1 and 4      *)
+(* domains, with forced-small batches.                                 *)
 
 let fuzz_n =
   match Sys.getenv_opt "DIAGRES_FUZZ_N" with
@@ -538,44 +552,35 @@ let test_differential () =
     let naive = Diagres_ra.Eval.eval db e in
     List.iter
       (fun domains ->
-        let run ~columnar ~defer =
-          forcing ~columnar ~defer domains (fun () ->
-              Plan.run (Planner.plan db e))
-        in
-        let deferred = run ~columnar:true ~defer:true
-        and eager = run ~columnar:true ~defer:false
-        and row = run ~columnar:false ~defer:true in
-        if not (D.Relation.same_rows naive deferred) then
+        let columnar, row, row_kernels_only = both_legs domains e in
+        if not (D.Relation.same_rows naive columnar) then
           Alcotest.failf
-            "#%d at %d domains: deferred columnar diverges from naive:\n%s" i
-            domains (Diagres_ra.Pretty.ascii e);
-        if not (D.Relation.same_rows naive eager) then
-          Alcotest.failf
-            "#%d at %d domains: eager columnar diverges from naive:\n%s" i
-            domains (Diagres_ra.Pretty.ascii e);
+            "#%d at %d domains: columnar diverges from naive:\n%s" i domains
+            (Diagres_ra.Pretty.ascii e);
         if not (D.Relation.same_rows naive row) then
           Alcotest.failf "#%d at %d domains: row mode diverges from naive:\n%s"
-            i domains (Diagres_ra.Pretty.ascii e))
+            i domains (Diagres_ra.Pretty.ascii e);
+        if not row_kernels_only then
+          Alcotest.failf
+            "#%d at %d domains: the row leg ran a vectorized kernel:\n%s" i
+            domains (Diagres_ra.Pretty.ascii e))
       [ 1; 4 ]
   done
 
 (* QCheck variant over Testutil's generator: different query shapes
    (products with renamed-apart sides, disjunctions), with shrinking. *)
 let prop_columnar_matches_row =
-  QCheck.Test.make ~name:"columnar (deferred/eager) = row = naive (1/4 domains)"
+  QCheck.Test.make ~name:"columnar = row = naive (1/4 domains)"
     ~count:120
     (Testutil.arbitrary_ra ())
     (fun e ->
       let naive = Diagres_ra.Eval.eval db e in
       List.for_all
         (fun domains ->
-          let run ~columnar ~defer =
-            forcing ~columnar ~defer domains (fun () ->
-                Plan.run (Planner.plan db e))
-          in
-          D.Relation.same_rows naive (run ~columnar:true ~defer:true)
-          && D.Relation.same_rows naive (run ~columnar:true ~defer:false)
-          && D.Relation.same_rows naive (run ~columnar:false ~defer:true))
+          let columnar, row, row_kernels_only = both_legs domains e in
+          D.Relation.same_rows naive columnar
+          && D.Relation.same_rows naive row
+          && row_kernels_only)
         [ 1; 4 ])
 
 let () =
@@ -616,6 +621,6 @@ let () =
       ( "telemetry",
         [ Alcotest.test_case "columnar counters" `Quick test_counters ] );
       ( "differential",
-        [ Alcotest.test_case "500 queries, deferred = eager = row = naive"
+        [ Alcotest.test_case "500 queries, columnar = row = naive"
             `Slow test_differential;
           Testutil.qtest prop_columnar_matches_row ] ) ]
