@@ -22,11 +22,6 @@ let load_db = function
   | None -> Diagres_data.Sample_db.db
   | Some dir -> Diagres_data.Csv.load_database dir
 
-let schemas_of db =
-  List.map
-    (fun (n, r) -> (n, Diagres_data.Relation.schema r))
-    (Diagres_data.Database.relations db)
-
 let lang_arg =
   let doc = "Query language: sql, ra, trc, drc, datalog." in
   Arg.(value & opt string "sql" & info [ "l"; "lang" ] ~docv:"LANG" ~doc)
@@ -171,8 +166,9 @@ let eval_cmd =
     let doc =
       "Print the physical plan chosen by the cost-based planner (operators, \
        estimated and actual row counts), the domain count, and the \
-       plan-cache hit/miss counters before the result.  Non-RA queries \
-       are first translated to RA."
+       plan-cache hit/miss counters before the result.  This is the plan \
+       that answered: every query, in every language, is translated to RA, \
+       planned, and executed."
     in
     Arg.(value & flag & info [ "explain" ] ~doc)
   in
@@ -186,51 +182,49 @@ let eval_cmd =
     in
     Arg.(value & flag & info [ "analyze" ] ~doc)
   in
+  (* explain after exec so every operator line shows actual counts *)
+  let print_plan ~analyze (a : Diagres.Languages.answer) =
+    let plan = a.Diagres.Languages.plan in
+    print_string
+      (if analyze then Diagres_ra.Plan.analyze plan
+       else Diagres_ra.Plan.explain plan);
+    Printf.printf "evaluated %d plan nodes, %d served from the shared-subtree memo\n"
+      (Diagres_ra.Plan.total_evals plan)
+      (Diagres_ra.Plan.total_hits plan);
+    let hits, misses = Diagres_ra.Plan_cache.stats () in
+    Printf.printf "domains: %d   plan cache: %s (hits=%d misses=%d)\n"
+      (Diagres_pool.Pool.size ())
+      (if a.Diagres.Languages.cached then "hit" else "miss")
+      hits misses;
+    if analyze then begin
+      print_phases ();
+      Printf.printf "peak rows resident: %d   memory: relations=%s caches=%s\n"
+        (T.gauge_named "exec.peak_rows_resident")
+        (T.bytes_to_string
+           (float_of_int (T.gauge_named "memory_bytes.relations")))
+        (T.bytes_to_string
+           (float_of_int
+              (T.gauge_named "memory_bytes.index_cache"
+              + T.gauge_named "memory_bytes.stats_cache"
+              + T.gauge_named "memory_bytes.plan_cache")))
+    end;
+    print_newline ()
+  in
   let run dbdir lang explain analyze domains trace query =
     handle_errors ~src:query @@ fun () ->
     apply_domains domains;
     with_telemetry ?trace ~analyze @@ fun () ->
     let db = load_db dbdir in
     let q = Diagres.Languages.parse (Diagres.Languages.of_name lang) query in
-    if explain || analyze then begin
-      let ra = Diagres.Languages.to_ra (schemas_of db) q in
-      let plan, cached = Diagres_ra.Plan_cache.find_or_plan db ra in
-      let result = Diagres_ra.Plan.run plan in
-      (* memory gauges over the post-run state: relation storage, caches,
-         plan-cache memos — also sampled onto the trace's counter tracks *)
-      Diagres.Views.refresh_memory_gauges db;
-      (* explain after exec so every operator line shows actual counts *)
-      print_string
-        (if analyze then Diagres_ra.Plan.analyze plan
-         else Diagres_ra.Plan.explain plan);
-      Printf.printf "evaluated %d plan nodes, %d served from the shared-subtree memo\n"
-        (Diagres_ra.Plan.total_evals plan)
-        (Diagres_ra.Plan.total_hits plan);
-      let hits, misses = Diagres_ra.Plan_cache.stats () in
-      Printf.printf "domains: %d   plan cache: %s (hits=%d misses=%d)\n"
-        (Diagres_pool.Pool.size ())
-        (if cached then "hit" else "miss")
-        hits misses;
-      if analyze then begin
-        print_phases ();
-        Printf.printf "peak rows resident: %d   memory: relations=%s caches=%s\n"
-          (T.gauge_named "exec.peak_rows_resident")
-          (T.bytes_to_string
-             (float_of_int (T.gauge_named "memory_bytes.relations")))
-          (T.bytes_to_string
-             (float_of_int
-                (T.gauge_named "memory_bytes.index_cache"
-                + T.gauge_named "memory_bytes.stats_cache"
-                + T.gauge_named "memory_bytes.plan_cache")))
-      end;
-      print_newline ();
-      print_string (Diagres_data.Relation.to_string result)
-    end
-    else begin
-      let r = Diagres.Languages.eval db q in
-      if trace <> None then Diagres.Views.refresh_memory_gauges db;
-      print_string (Diagres_data.Relation.to_string r)
-    end
+    let answer = Diagres.Languages.eval db q in
+    (* memory gauges over the post-run state: relation storage, caches,
+       plan-cache memos — printed by --analyze, sampled onto the trace's
+       counter tracks *)
+    if T.enabled () then Diagres.Views.refresh_memory_gauges db;
+    (* --analyze is --explain with the measurements *)
+    let explain = explain || analyze in
+    if explain then print_plan ~analyze answer;
+    print_string (Diagres_data.Relation.to_string answer.Diagres.Languages.result)
   in
   Cmd.v
     (Cmd.info "eval" ~doc:"Evaluate a query on the sample sailors database")
@@ -377,10 +371,10 @@ let stats_cmd =
     let l = Diagres.Languages.of_name lang in
     List.iter
       (fun qtext ->
-        let r = Diagres.Languages.eval db (Diagres.Languages.parse l qtext) in
+        let a = Diagres.Languages.eval db (Diagres.Languages.parse l qtext) in
         if not json then
           Printf.printf "-- %s  (%d rows)\n" qtext
-            (Diagres_data.Relation.cardinality r))
+            (Diagres_data.Relation.cardinality a.Diagres.Languages.result))
       queries;
     (* memory gauges: on the built-in database, register one maintained
        view first so [memory_bytes.delta_state] reflects live differential
@@ -442,7 +436,7 @@ let survey_cmd =
 let principles_cmd =
   let run dbdir lang query =
     handle_errors ~src:query @@ fun () ->
-    let schemas = schemas_of (load_db dbdir) in
+    let schemas = Diagres.Languages.schemas_of (load_db dbdir) in
     let q = Diagres.Languages.parse (Diagres.Languages.of_name lang) query in
     match Diagres.Languages.to_trc_panels schemas q with
     | [] ->

@@ -25,6 +25,9 @@ let show name rel =
           (fun t -> Diagres_data.Value.to_string (Diagres_data.Tuple.get t 0))
           (Diagres_data.Relation.tuples rel)))
 
+(* answered the way qviz answers: lowered to RA, planned, run *)
+let answer q = (Diagres.Languages.eval db q).Diagres.Languages.result
+
 let () =
   print_endline "Q: which sailors reserved ALL red boats?\n";
 
@@ -35,7 +38,7 @@ let () =
       "project[sid,bid](Reserves) div project[bid](select[color='red'](Boat))"
   in
   print_endline ("    " ^ Diagres_ra.Pretty.unicode ra);
-  show "RA" (Diagres_ra.Eval.eval db ra);
+  show "RA" (answer (Diagres.Languages.Q_ra ra));
   print_string (Diagres_diagrams.Dfql.to_ascii (Diagres_diagrams.Dfql.of_ra ra));
   print_endline
     "    (note: ÷ answers differ from ∀ when there are no red boats at all\n\
@@ -46,7 +49,7 @@ let () =
   let sql = (Diagres.Catalog.find "q3").Diagres.Catalog.sql in
   print_endline sql;
   let stmt = Diagres_sql.Parser.parse sql in
-  show "SQL" (Diagres_sql.To_ra.eval db stmt);
+  show "SQL" (answer (Diagres.Languages.Q_sql stmt));
   let qv = List.hd (Diagres_diagrams.Queryvis.of_sql schemas stmt) in
   Printf.printf "QueryVis needs %d reading arrows:\n"
     (Diagres_diagrams.Queryvis.arrow_count qv);
@@ -57,7 +60,7 @@ let () =
   let trc_src = (Diagres.Catalog.find "q3").Diagres.Catalog.trc in
   print_endline trc_src;
   let trc = Diagres_rc.Trc_parser.parse trc_src in
-  show "TRC" (Diagres_rc.Trc.eval db trc);
+  show "TRC" (answer (Diagres.Languages.Q_trc trc));
   let rd = Diagres_diagrams.Relational_diagram.of_trc trc in
   print_endline "Relational Diagram needs 0 arrows (nesting carries scope):";
   print_string (Diagres_diagrams.Relational_diagram.to_ascii rd);
@@ -67,7 +70,7 @@ let () =
   let dl_src = (Diagres.Catalog.find "q3").Diagres.Catalog.datalog in
   print_endline dl_src;
   let p = Diagres_datalog.Parser.parse dl_src in
-  show "Datalog" (Diagres_datalog.Eval.query db p ~goal:"q3");
+  show "Datalog" (answer (Diagres.Languages.Q_datalog (p, "q3")));
   let qbe = Diagres_diagrams.Qbe.of_datalog schemas p ~goal:"q3" in
   let steps, temps, _ = Diagres_diagrams.Qbe.stats qbe in
   Printf.printf "QBE needs %d steps and %d temporary relations:\n" steps temps;
@@ -78,4 +81,4 @@ let () =
   let panels = [ List.hd (Diagres_diagrams.Relational_diagram.to_trc rd) ] in
   print_endline (Diagres_sql.Of_trc.to_string panels);
   let back = Diagres_sql.Parser.parse (Diagres_sql.Of_trc.to_string panels) in
-  show "diagram→SQL" (Diagres_sql.To_ra.eval db back)
+  show "diagram→SQL" (answer (Diagres.Languages.Q_sql back))

@@ -15,6 +15,9 @@ let show name rel =
           (fun t -> Diagres_data.Value.to_string (Diagres_data.Tuple.get t 0))
           (Diagres_data.Relation.tuples rel)))
 
+(* answered the way qviz answers: lowered to RA, planned, run *)
+let answer q = (Diagres.Languages.eval db q).Diagres.Languages.result
+
 let () =
   print_endline "== D1: drinkers who frequent a bar serving a beer they like ==";
   let d1 =
@@ -22,7 +25,7 @@ let () =
       "{ f.drinker | f in Frequents : exists s in Serves, l in Likes \
        (s.bar = f.bar and l.drinker = f.drinker and l.beer = s.beer) }"
   in
-  show "D1" (Diagres_rc.Trc.eval db d1);
+  show "D1" (answer (Diagres.Languages.Q_trc d1));
 
   print_endline "\n== D2: … who frequent ONLY such bars (∀∃ pattern) ==";
   let d2 =
@@ -32,7 +35,7 @@ let () =
        l.drinker = f.drinker and l.beer = s.beer)) and exists f0 in \
        Frequents (f0.drinker = l0.drinker) }"
   in
-  show "D2" (Diagres_rc.Trc.eval db d2);
+  show "D2" (answer (Diagres.Languages.Q_trc d2));
 
   print_endline "\nRelational Diagram for D2 (two nested negation boxes):";
   let rd = Diagres_diagrams.Relational_diagram.of_trc d2 in
@@ -51,10 +54,14 @@ let () =
      l.drinker = f.drinker AND l.beer = s.beer)) AND EXISTS (SELECT f0.bar \
      FROM Frequents f0 WHERE f0.drinker = l0.drinker)"
   in
-  let via_sql = Diagres_sql.To_ra.eval_string db sql in
+  let via_sql =
+    answer (Diagres.Languages.parse Diagres.Languages.Sql sql)
+  in
   show "\nD2 via SQL" via_sql;
   Printf.printf "TRC and SQL agree: %b\n"
-    (Diagres_data.Relation.same_rows (Diagres_rc.Trc.eval db d2) via_sql);
+    (Diagres_data.Relation.same_rows
+       (answer (Diagres.Languages.Q_trc d2))
+       via_sql);
 
   print_endline "\n== D3: drinkers who like a beer served nowhere ==";
   let d3 =
@@ -62,5 +69,5 @@ let () =
       "{ l.drinker | l in Likes : not (exists s in Serves (s.beer = \
        l.beer)) }"
   in
-  show "D3" (Diagres_rc.Trc.eval db d3);
+  show "D3" (answer (Diagres.Languages.Q_trc d3));
   ignore schemas

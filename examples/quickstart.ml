@@ -18,8 +18,11 @@ let () =
   print_endline sql;
 
   print_endline "\n=== 2. Evaluate it ===";
-  let result = Diagres_sql.To_ra.eval_string db sql in
-  print_string (Diagres_data.Relation.to_string result);
+  let answer =
+    Diagres.Languages.eval db
+      (Diagres.Languages.parse Diagres.Languages.Sql sql)
+  in
+  print_string (Diagres_data.Relation.to_string answer.Diagres.Languages.result);
 
   print_endline "\n=== 3. Translate: SQL -> TRC -> RA ===";
   let stmt = Diagres_sql.Parser.parse sql in

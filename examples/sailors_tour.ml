@@ -33,13 +33,16 @@ let () =
       Printf.printf "TRC:     %s\n" e.Diagres.Catalog.trc;
       Printf.printf "DRC:     %s\n" e.Diagres.Catalog.drc;
       Printf.printf "Datalog:\n%s\n" e.Diagres.Catalog.datalog;
-      let results = Diagres.Catalog.eval_all db e in
-      let _, first = List.hd results in
-      let agree =
-        List.for_all
-          (fun (_, r) -> Diagres_data.Relation.same_rows first r)
-          results
+      (* each language answered the way qviz answers it *)
+      let results =
+        List.map
+          (fun (lang, src) ->
+            (Diagres.Languages.eval db (Diagres.Languages.parse lang src))
+              .Diagres.Languages.result)
+          (Diagres.Catalog.sources e)
       in
+      let first = List.hd results in
+      let agree = List.for_all (Diagres_data.Relation.same_rows first) results in
       Printf.printf "answers (%s): %s\n"
         (if agree then "all 5 languages agree" else "LANGUAGES DISAGREE!")
         (show_rows first);

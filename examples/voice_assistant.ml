@@ -42,7 +42,8 @@ let () =
         verified;
       print_endline "answers under that reading:";
       print_string
-        (Diagres_data.Relation.to_string (Diagres.Languages.eval db q));
+        (Diagres_data.Relation.to_string
+           (Diagres.Languages.eval db q).Diagres.Languages.result);
       print_newline ())
     dictations;
   print_endline

@@ -157,18 +157,24 @@ let find id =
   | None -> invalid_arg ("unknown catalog query " ^ id)
 
 (** Parsed forms (raise on internal inconsistency — exercised in tests). *)
-let parsed_sql e = Diagres_sql.Parser.parse e.sql
 let parsed_ra e = Diagres_ra.Parser.parse e.ra
 let parsed_trc e = Diagres_rc.Trc_parser.parse e.trc
 let parsed_drc e = Diagres_rc.Drc_parser.parse e.drc
 let parsed_datalog e = Diagres_datalog.Parser.parse e.datalog
 
-(** Evaluate the entry in every language on [db]; returns language-tagged
-    relations (columns may be named differently — compare with
+(** The entry's source text in each language. *)
+let sources e =
+  Languages.
+    [ (Sql, e.sql); (Ra, e.ra); (Trc, e.trc); (Drc, e.drc);
+      (Datalog, e.datalog) ]
+
+(** Evaluate the entry in every language on [db] with the reference
+    evaluators; returns relations tagged by lower-case language name
+    (columns may be named differently — compare with
     {!Diagres_data.Relation.same_rows}). *)
 let eval_all db (e : entry) : (string * Diagres_data.Relation.t) list =
-  [ ("sql", Diagres_sql.To_ra.eval db (parsed_sql e));
-    ("ra", Diagres_ra.Eval.eval_planned db (parsed_ra e));
-    ("trc", Diagres_rc.Trc.eval db (parsed_trc e));
-    ("drc", Diagres_rc.Drc.eval db (parsed_drc e));
-    ("datalog", Diagres_datalog.Eval.query db (parsed_datalog e) ~goal:e.id) ]
+  List.map
+    (fun (lang, src) ->
+      ( String.lowercase_ascii (Languages.name lang),
+        Languages.eval_reference db (Languages.parse lang src) ))
+    (sources e)

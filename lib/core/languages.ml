@@ -92,18 +92,6 @@ let lang_of = function
   | Q_drc _ -> Drc
   | Q_datalog _ -> Datalog
 
-let eval db (q : query) : Diagres_data.Relation.t =
-  T.with_span ~cat:"phase"
-    ~attrs:(fun () -> [ ("lang", T.Str (name (lang_of q))) ])
-    "eval"
-  @@ fun () ->
-  match q with
-  | Q_sql st -> Diagres_sql.To_ra.eval db st
-  | Q_ra e -> Diagres_ra.Eval.eval_planned db e
-  | Q_trc q -> Diagres_rc.Trc.eval db q
-  | Q_drc q -> Diagres_rc.Drc.eval db q
-  | Q_datalog (p, goal) -> Diagres_datalog.Eval.query db p ~goal
-
 (** Normalize any language to single-panel TRC queries — the diagram
     generators' input.  Disjunctions hiding inside a panel body are split
     out (via {!Diagres_rc.Translate.drawable_panels}). *)
@@ -130,6 +118,155 @@ let to_ra schemas (q : query) : Diagres_ra.Ast.t =
   | Q_trc q -> Diagres_rc.Translate.trc_to_ra schemas q
   | Q_drc q -> Diagres_rc.Translate.drc_to_ra schemas q
   | Q_datalog (p, goal) -> Diagres_datalog.To_drc.to_ra schemas p ~goal
+
+let schemas_of = Diagres_ra.Typecheck.env_of_database
+
+(* How the served route answers [q]: the query it lowers and, unless its
+   rows answer as they are (RA), each answer column — named as
+   {!eval_reference} names it, read from a column of those rows or a
+   literal.  RA has no literal relation and a DRC head lists distinct
+   variables, so constant and repeated head columns (which the lowering
+   refuses, or ranges over the active domain) are lowered without and put
+   back into each row. *)
+type column = Col of int | Lit of Diagres_data.Value.t
+
+let serving_form schemas (q : query) : query * (string * column) list option
+    =
+  let module S = Diagres_sql.Ast in
+  let module Dl = Diagres_datalog.Ast in
+  (* the distinct keys of [head], and each head item as a column over them *)
+  let columns head =
+    let keys =
+      List.fold_left
+        (fun ks -> function
+          | Either.Left k when not (List.mem k ks) -> ks @ [ k ] | _ -> ks)
+        [] head
+    in
+    let rec index i k = function
+      | k' :: ks -> if k' = k then i else index (i + 1) k ks | [] -> i
+    in
+    let column = function
+      | Either.Left k -> Col (index 0 k keys)
+      | Either.Right c -> Lit c
+    in
+    (keys, List.map column head)
+  in
+  let names t =
+    Diagres_data.Schema.names (Diagres_rc.Trc.head_schema schemas t)
+  in
+  let identity names = Some (List.mapi (fun i n -> (n, Col i)) names) in
+  let trc (t : Diagres_rc.Trc.query) =
+    let fields, cols =
+      columns
+        (List.map
+           (function
+             | Diagres_rc.Trc.Const c -> Either.Right c | f -> Either.Left f)
+           t.head)
+    in
+    (Q_trc { t with head = fields }, Some (List.combine (names t) cols))
+  in
+  let rec first = function
+    | S.Query b -> b
+    | S.Union (a, _) | S.Intersect (a, _) | S.Except (a, _) -> first a
+  in
+  match q with
+  | Q_ra _ -> (q, None)
+  | Q_trc t -> trc t
+  | Q_sql (S.Query b) -> trc (Diagres_sql.To_trc.of_query schemas b)
+  | Q_sql st ->
+    (q, identity (names (Diagres_sql.To_trc.of_query schemas (first st))))
+  | Q_drc d -> (q, identity d.head)
+  | Q_datalog (p, goal) ->
+    let heads =
+      List.map (fun (r : Dl.rule) -> r.head.args) (Dl.rules_for p goal)
+    in
+    let arity = List.length (List.hd heads) in
+    (* a literal: a position every goal rule fills with the same constant;
+       none when the goal's heads differ in arity (the checker rejects the
+       program) or another rule reads the goal *)
+    let liftable =
+      List.for_all (fun args -> List.length args = arity) heads
+      && not (List.exists (fun r -> List.mem goal (Dl.body_preds r)) p)
+    in
+    let item i =
+      match if liftable then List.map (fun a -> List.nth a i) heads else [] with
+      | Dl.Const c :: rest when List.for_all (( = ) (Dl.Const c)) rest ->
+        Either.Right c
+      | _ -> Either.Left i
+    in
+    let kept, cols = columns (List.init arity item) in
+    let strip (r : Dl.rule) =
+      if r.head.pred <> goal || List.length kept = arity then r
+      else
+        let args = List.filteri (fun i _ -> List.mem i kept) r.head.args in
+        { r with head = { r.head with args } }
+    in
+    let xs = List.init arity Diagres_datalog.Eval.column_name in
+    (Q_datalog (List.map strip p, goal), Some (List.combine xs cols))
+
+(** A served answer, and the physical plan that computed it — executed,
+    so {!Diagres_ra.Plan.explain} shows actual row counts. *)
+type answer = {
+  result : Diagres_data.Relation.t;
+  plan : Diagres_ra.Plan.t;
+  cached : bool;  (** the plan was served from {!Diagres_ra.Plan_cache} *)
+}
+
+(** The one serving route, for all five languages: lower to RA
+    ({!to_ra}), typecheck, plan through the plan cache, execute.  The
+    answer has {!eval_reference}'s columns, not the lowering's. *)
+let eval db (q : query) : answer =
+  T.with_span ~cat:"phase"
+    ~attrs:(fun () -> [ ("lang", T.Str (name (lang_of q))) ])
+    "eval"
+  @@ fun () ->
+  let module R = Diagres_data.Relation in
+  let schemas = schemas_of db in
+  let lowered, columns = serving_form schemas q in
+  let plan, cached =
+    Diagres_ra.Eval.plan_checked db (to_ra schemas lowered)
+  in
+  let r = Diagres_ra.Plan.run plan in
+  let schema = R.schema r in
+  let result =
+    match columns with
+    | None -> r
+    | Some cols when List.map snd cols = List.mapi (fun i _ -> Col i) schema ->
+      R.rename_all (List.map fst cols) r
+    | Some cols ->
+      let attr = function
+        | n, Col i -> { (List.nth schema i) with Diagres_data.Schema.name = n }
+        | n, Lit v ->
+          Diagres_data.Schema.attr ~ty:(Diagres_data.Value.type_of v) n
+      in
+      let read t = function _, Col i -> t.(i) | _, Lit v -> v in
+      R.map (List.map attr cols)
+        (fun t -> Array.of_list (List.map (read t) cols))
+        r
+  in
+  { result; plan; cached }
+
+(** The reference oracle: each language's native evaluator — TRC and DRC
+    by calculus evaluation, Datalog bottom-up, SQL block by block as TRC,
+    RA by the naive tree-walker.  None shares the lowering or the planner
+    with {!eval}, which makes them its test oracle; nothing serves
+    queries through them. *)
+let eval_reference db (q : query) : Diagres_data.Relation.t =
+  let module R = Diagres_data.Relation in
+  let module S = Diagres_sql.Ast in
+  let rec sql = function
+    | S.Query b ->
+      Diagres_rc.Trc.eval db (Diagres_sql.To_trc.of_query (schemas_of db) b)
+    | S.Union (a, b) -> R.union (sql a) (sql b)
+    | S.Intersect (a, b) -> R.inter (sql a) (sql b)
+    | S.Except (a, b) -> R.diff (sql a) (sql b)
+  in
+  match q with
+  | Q_ra e -> Diagres_ra.Eval.eval db e
+  | Q_trc t -> Diagres_rc.Trc.eval db t
+  | Q_drc d -> Diagres_rc.Drc.eval db d
+  | Q_datalog (p, goal) -> Diagres_datalog.Eval.query db p ~goal
+  | Q_sql st -> sql st
 
 (** Render any query as SQL text via its TRC panels — the back-translation
     arm of the Fig. 2 loop. *)

@@ -132,14 +132,13 @@ let visualize schemas (q : Languages.query) (f : formalism) : rendering =
       (List.map G.Conceptual_graph.to_svg cgs)
       (List.map G.Conceptual_graph.to_ascii cgs)
 
-(** The verification loop: evaluate the original query and the TRC reading
-    of its diagram; both must return the same rows.  This is the
-    executable form of the Fig. 2 interaction contract. *)
+(** The verification loop: the answer the system serves for the original
+    query ({!Languages.eval}) and the native TRC evaluation of its
+    diagram's reading must return the same rows.  This is the executable
+    form of the Fig. 2 interaction contract. *)
 let verify_roundtrip db (q : Languages.query) : bool =
-  let schemas =
-    List.map (fun (n, r) -> (n, D.Relation.schema r)) (D.Database.relations db)
-  in
-  let direct = Languages.eval db q in
+  let schemas = Languages.schemas_of db in
+  let direct = (Languages.eval db q).Languages.result in
   let panels = Languages.to_trc_panels schemas q in
   let via_diagram =
     match panels with
@@ -154,9 +153,7 @@ let verify_roundtrip db (q : Languages.query) : bool =
 (** One-call convenience: parse, visualize, verify. *)
 let run db lang_name src formalism_name_ =
   T.with_span ~cat:"phase" "pipeline" @@ fun () ->
-  let schemas =
-    List.map (fun (n, r) -> (n, D.Relation.schema r)) (D.Database.relations db)
-  in
+  let schemas = Languages.schemas_of db in
   let q = Languages.parse (Languages.of_name lang_name) src in
   let r = visualize schemas q (formalism_of_name formalism_name_) in
   let verified = T.with_span ~cat:"phase" "verify" (fun () -> verify_roundtrip db q) in
@@ -216,9 +213,7 @@ let comment_out text =
     roundtrip fuzz suite enforces. *)
 let translate_text db (q : Languages.query) (target : Languages.lang) : string
     =
-  let schemas =
-    List.map (fun (n, r) -> (n, D.Relation.schema r)) (D.Database.relations db)
-  in
+  let schemas = Languages.schemas_of db in
   match target with
   | Languages.Ra ->
     let ra = Languages.to_ra schemas q in

@@ -56,20 +56,15 @@ let find_opt t name = List.assoc_opt name t.views
 let find t name =
   match find_opt t name with Some v -> v | None -> raise (Unknown_view name)
 
-let schemas_of db =
-  List.map (fun (n, r) -> (n, R.schema r)) (D.Database.relations db)
-
 (** Parse, lower to RA, plan (through the LRU plan cache), run once, and
     start maintaining.  [formalism] additionally renders the query's
     diagram, kept alongside the maintained result.  Re-registering a name
     replaces the old view. *)
 let register ?formalism t ~name ~lang ~source : view =
   let query = Languages.parse lang source in
-  let schemas = schemas_of t.db in
+  let schemas = Languages.schemas_of t.db in
   let ra = Languages.to_ra schemas query in
-  ignore
-    (Ra.Typecheck.infer (Ra.Typecheck.env_of_database t.db) ra);
-  let plan, _cached = Ra.Plan_cache.find_or_plan t.db ra in
+  let plan, _cached = Ra.Eval.plan_checked t.db ra in
   let delta = Ra.Delta.init plan in
   let rendering =
     Option.map (fun f -> Pipeline.visualize schemas query f) formalism

@@ -12,6 +12,10 @@ exception Eval_error of string
 
 type env = (string * D.Value.t) list
 
+(** The name of an IDB relation's [i]-th (0-based) column: [x1], [x2], …
+    Every Datalog answer, whichever engine computes it, carries these. *)
+let column_name i = Printf.sprintf "x%d" (i + 1)
+
 let term_value (env : env) = function
   | Ast.Const c -> Some c
   | Ast.Var x -> List.assoc_opt x env
@@ -177,7 +181,7 @@ let eval_program (db : D.Database.t) (p : Ast.program) : D.Database.t =
       in
       let schema =
         List.init arity (fun i ->
-            D.Schema.attr ~ty:(ty_of i) (Printf.sprintf "x%d" (i + 1)))
+            D.Schema.attr ~ty:(ty_of i) (column_name i))
       in
       D.Database.add pred (D.Relation.of_tuples schema rows) store)
     db order

@@ -116,7 +116,7 @@ let default_max_rounds = 10_000
 let schema_for arities pred =
   let arity = List.assoc pred arities in
   List.init arity (fun i ->
-      D.Schema.attr ~ty:D.Value.Tany (Printf.sprintf "x%d" (i + 1)))
+      D.Schema.attr ~ty:D.Value.Tany (Eval.column_name i))
 
 let diverged pred rounds =
   error

@@ -69,6 +69,17 @@ let rec eval db (e : Ast.t) : D.Relation.t =
   | Ast.Diff (a, b) -> D.Relation.diff (eval db a) (eval db b)
   | Ast.Division (a, b) -> D.Relation.division (eval db a) (eval db b)
 
+(** Typecheck [e] against [db] and fetch its physical plan from the LRU
+    {!Plan_cache} (planning it on a miss); the flag says whether the plan
+    was a cache hit.  Ill-typed queries are rejected here with a proper
+    diagnostic: plan construction assumes a well-typed tree and crashes
+    with an unlocated Invalid_argument/Schema_error otherwise. *)
+let plan_checked db e : Plan.t * bool =
+  let module T = Diagres_telemetry.Telemetry in
+  T.with_span ~cat:"phase" "typecheck" (fun () ->
+      ignore (Typecheck.infer (Typecheck.env_of_database db) e));
+  Plan_cache.find_or_plan db e
+
 (** Evaluate through the cost-based physical planner ({!Planner}): logical
     rewrites, hash equi-joins over the cached indexes, greedy join
     ordering, compiled predicates, memoized shared subtrees, and — above
@@ -79,12 +90,4 @@ let rec eval db (e : Ast.t) : D.Relation.t =
     first, making reuse observationally identical to planning afresh.
     Agrees with the tree-walking {!eval} (property-tested); [eval] remains
     as the naive reference. *)
-let eval_planned db e =
-  let module T = Diagres_telemetry.Telemetry in
-  (* reject ill-typed queries with a proper diagnostic before the planner
-     sees them — plan construction assumes a well-typed tree and crashes
-     with unlocated Invalid_argument/Schema_error otherwise *)
-  T.with_span ~cat:"phase" "typecheck" (fun () ->
-      ignore (Typecheck.infer (Typecheck.env_of_database db) e));
-  let plan, _cached = Plan_cache.find_or_plan db e in
-  Plan.run plan
+let eval_planned db e = Plan.run (fst (plan_checked db e))

@@ -56,15 +56,3 @@ let drc_to_trc_single schemas q =
   match drc_to_trc schemas q with
   | [ single ] -> Some single
   | _ -> None
-
-(** Evaluate a query of any of the three languages to a relation, used by
-    the differential tests and the cross-language bench (E1). *)
-type any_query =
-  | Ra of Diagres_ra.Ast.t
-  | Trc of Trc.query
-  | Drc of Drc.query
-
-let eval_any db = function
-  | Ra e -> Diagres_ra.Eval.eval_planned db e
-  | Trc q -> Trc.eval db q
-  | Drc q -> Drc.eval db q

@@ -358,11 +358,41 @@ let simplify_types (schemas : (string * Diagres_data.Schema.t) list)
 
 exception Eval_error of string
 
+(** Typecheck [q] and return its answer header: one attribute per head
+    term, named after the field it reads (a name already taken by an
+    earlier head field gets the 1-based position as a suffix, [sid_2]) or
+    [c<i>] for a constant.  The served route names its planned answer with
+    this header too, so both engines print the same columns. *)
+let head_schema (schemas : (string * Diagres_data.Schema.t) list) (q : query) :
+    Diagres_data.Schema.t =
+  let module D = Diagres_data in
+  ignore (typecheck schemas q);
+  List.mapi
+    (fun i t ->
+      match t with
+      | Field (v, a) ->
+        let r = List.assoc v q.ranges in
+        let att =
+          match D.Schema.find_opt a (List.assoc r schemas) with
+          | Some at -> at
+          | None -> raise (Eval_error ("unknown field " ^ v ^ "." ^ a))
+        in
+        let base = att.D.Schema.name in
+        let clash =
+          List.exists
+            (function Field (_, a') -> a' = base | Const _ -> false)
+            (List.filteri (fun j _ -> j < i) q.head)
+        in
+        D.Schema.attr ~ty:att.D.Schema.ty
+          (if clash then Printf.sprintf "%s_%d" base (i + 1) else base)
+      | Const c ->
+        D.Schema.attr ~ty:(D.Value.type_of c) (Printf.sprintf "c%d" (i + 1)))
+    q.head
+
 let eval_gen ~restricted (db : Diagres_data.Database.t) (q : query) :
     Diagres_data.Relation.t =
   let module D = Diagres_data in
-  let schemas = List.map (fun (n, r) -> (n, D.Relation.schema r)) (D.Database.relations db) in
-  ignore (typecheck schemas q);
+  let head_schema = head_schema (Diagres_ra.Typecheck.env_of_database db) q in
   let rel r =
     match D.Database.find_opt r db with
     | Some x -> x
@@ -461,32 +491,6 @@ let eval_gen ~restricted (db : Diagres_data.Database.t) (q : query) :
       List.for_all
         (fun tup -> holds ((v, (tup, r)) :: env) (Forall (rest, f)))
         tups
-  in
-  let head_schema =
-    List.mapi
-      (fun i t ->
-        match t with
-        | Field (v, a) ->
-          let r = List.assoc v q.ranges in
-          let att =
-            match D.Schema.find_opt a (D.Relation.schema (rel r)) with
-            | Some at -> at
-            | None -> raise (Eval_error ("unknown field " ^ v ^ "." ^ a))
-          in
-          (* disambiguate duplicate output names positionally *)
-          let base = att.D.Schema.name in
-          let clash =
-            List.exists
-              (fun (j, t') ->
-                j < i
-                && match t' with Field (_, a') -> a' = base | Const _ -> false)
-              (List.mapi (fun j t' -> (j, t')) q.head)
-          in
-          D.Schema.attr ~ty:att.D.Schema.ty
-            (if clash then Printf.sprintf "%s_%d" base (i + 1) else base)
-        | Const c ->
-          D.Schema.attr ~ty:(D.Value.type_of c) (Printf.sprintf "c%d" (i + 1)))
-      q.head
   in
   (* enumerate assignments to the free ranges, narrowed by the body *)
   let rec enumerate env = function

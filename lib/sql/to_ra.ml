@@ -11,20 +11,3 @@ let rec statement schemas (st : Ast.statement) : A.t =
   | Ast.Union (a, b) -> A.Union (statement schemas a, statement schemas b)
   | Ast.Intersect (a, b) -> A.Inter (statement schemas a, statement schemas b)
   | Ast.Except (a, b) -> A.Diff (statement schemas a, statement schemas b)
-
-(** Evaluation: each SELECT block runs through the direct TRC evaluator
-    (fast path); set operators combine results. *)
-let rec eval db (st : Ast.statement) : Diagres_data.Relation.t =
-  let schemas =
-    List.map
-      (fun (n, r) -> (n, Diagres_data.Relation.schema r))
-      (Diagres_data.Database.relations db)
-  in
-  match st with
-  | Ast.Query q -> Diagres_rc.Trc.eval db (To_trc.of_query schemas q)
-  | Ast.Union (a, b) -> Diagres_data.Relation.union (eval db a) (eval db b)
-  | Ast.Intersect (a, b) ->
-    Diagres_data.Relation.inter (eval db a) (eval db b)
-  | Ast.Except (a, b) -> Diagres_data.Relation.diff (eval db a) (eval db b)
-
-let eval_string db src = eval db (Parser.parse src)

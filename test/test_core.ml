@@ -106,6 +106,52 @@ let test_language_parse_errors () =
     Alcotest.(check string) "ra parse code" "E-RA-PARSE-001" d.Diagres_diag.Diag.code
   | _ -> Alcotest.fail "bad ra must raise a parse diagnostic"
 
+(* The served route (lower, plan, run) answers with the reference's rows
+   under the reference's column names: [sid], not the lowering's [s_sid];
+   [x1] for Datalog, not [s_ans_1]. *)
+let check_served_as_reference db tag q =
+  let served = (L.eval db q).L.result and reference = L.eval_reference db q in
+  Testutil.check_same_rows (tag ^ " rows") reference served;
+  Alcotest.(check (list string))
+    (tag ^ " header")
+    (D.Schema.names (D.Relation.schema reference))
+    (D.Schema.names (D.Relation.schema served))
+
+let test_served_as_reference () =
+  List.iter
+    (fun e ->
+      List.iter
+        (fun (lang, src) ->
+          check_served_as_reference db
+            (e.Diagres.Catalog.id ^ "/" ^ L.name lang)
+            (L.parse lang src))
+        (Diagres.Catalog.sources e))
+    Diagres.Catalog.all;
+  (* answer columns the lowering cannot return itself — constants (one the
+     database does not hold, too) and a field read twice — and a SELECT *
+     whose columns come from name resolution *)
+  List.iter
+    (fun (lang, src) ->
+      check_served_as_reference db (L.name lang ^ " " ^ src) (L.parse lang src))
+    [ (L.Trc, "{ s.sid, 3, s.sname, s.sid, 'k' | s in Sailor : s.rating > 9 }");
+      (L.Trc, "{ 'k' | s in Sailor : s.rating > 9 }");
+      (L.Sql, "SELECT s.sid, 'k', s.sid FROM Sailor s WHERE s.rating > 9");
+      (L.Sql, "SELECT * FROM Sailor s WHERE s.rating > 9");
+      (L.Datalog,
+       "q(X, 'k', X) :- Sailor(X, N, R, A), R > 9.\n\
+        q(X, 'k', B) :- Reserves(X, B, D).") ];
+  let module Q = Diagres.Qgen in
+  let st = Random.State.make [| 0x5eed; 15 |] in
+  for i = 1 to 40 do
+    let tag lang = Printf.sprintf "qgen %s #%d" lang i in
+    check_served_as_reference db (tag "sql") (L.Q_sql (Q.gen_sql st schemas));
+    check_served_as_reference db (tag "ra") (L.Q_ra (Q.gen_ra st schemas 3));
+    check_served_as_reference db (tag "trc") (L.Q_trc (Q.gen_trc st schemas));
+    check_served_as_reference db (tag "drc") (L.Q_drc (Q.gen_drc st schemas));
+    check_served_as_reference db (tag "datalog")
+      (L.Q_datalog (Q.gen_datalog st schemas, "q"))
+  done
+
 (* Every subtree of an RA expression, the expression included. *)
 let rec ra_subterms (e : Diagres_ra.Ast.t) =
   let module A = Diagres_ra.Ast in
@@ -138,7 +184,7 @@ let test_to_ra_semantics () =
           let tag = e.Diagres.Catalog.id ^ "/" ^ L.name lang in
           let q = L.parse lang src in
           let ra = L.to_ra schemas q in
-          Testutil.check_same_rows ("to_ra " ^ tag) (L.eval db q)
+          Testutil.check_same_rows ("to_ra " ^ tag) (L.eval_reference db q)
             (Diagres_ra.Eval.eval db ra);
           let subs = ra_subterms ra in
           List.iter
@@ -381,7 +427,9 @@ let () =
         [ Alcotest.test_case "parse dispatch" `Quick
             test_language_parse_dispatch;
           Alcotest.test_case "parse errors" `Quick test_language_parse_errors;
-          Alcotest.test_case "to_ra" `Quick test_to_ra_semantics ] );
+          Alcotest.test_case "to_ra" `Quick test_to_ra_semantics;
+          Alcotest.test_case "served = reference" `Quick
+            test_served_as_reference ] );
       ( "pipeline",
         [ Alcotest.test_case "verify catalog" `Quick
             test_pipeline_verify_all_catalog;

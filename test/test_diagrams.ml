@@ -757,8 +757,9 @@ let test_sqlvis_syntax_sensitivity () =
   in
   Alcotest.(check bool) "same answers" true
     (D.Relation.same_rows
-       (Diagres_sql.To_ra.eval db exists_form)
-       (Diagres_sql.To_ra.eval db in_form));
+       (Diagres.Languages.eval_reference db
+          (Diagres.Languages.Q_sql exists_form))
+       (Diagres.Languages.eval_reference db (Diagres.Languages.Q_sql in_form)));
   Alcotest.(check bool) "different SQLVis pictures" true
     (G.Sqlvis.syntax_signature exists_form
     <> G.Sqlvis.syntax_signature in_form);

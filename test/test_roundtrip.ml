@@ -67,7 +67,7 @@ let translate_equiv ?(targets = [ L.Sql; L.Ra; L.Trc; L.Drc ]) tag i db
     (q : L.query) =
   let expected = reference db q in
   (* the source query itself must agree with the reference *)
-  if not (D.Relation.same_rows expected (L.eval db q)) then
+  if not (D.Relation.same_rows expected (L.eval_reference db q)) then
     Alcotest.failf "%s #%d: source eval disagrees with naive RA:\n%s" tag i
       (L.to_string q);
   List.iter
@@ -88,7 +88,7 @@ let translate_equiv ?(targets = [ L.Sql; L.Ra; L.Trc; L.Drc ]) tag i db
             (L.to_string q)
       in
       let got =
-        try L.eval db q'
+        try L.eval_reference db q'
         with exn ->
           Alcotest.failf "%s #%d: translated %s query fails to eval (%s):\n%s"
             tag i (L.name target) (Printexc.to_string exn) text

@@ -3,11 +3,16 @@
 
 module Ast = Diagres_sql.Ast
 module D = Diagres_data
+module L = Diagres.Languages
 
 let db = Testutil.db
 let schemas = Testutil.schemas
 let parse = Diagres_sql.Parser.parse
-let eval src = Diagres_sql.To_ra.eval_string db src
+(* answered the way qviz answers: lowered to RA, planned, run *)
+let eval src = (L.eval db (L.parse L.Sql src)).L.result
+
+(* the SQL oracle: each SELECT block evaluated as TRC *)
+let eval_reference st = L.eval_reference db (L.Q_sql st)
 
 (* ---------------- parser ---------------- *)
 
@@ -165,7 +170,7 @@ let test_sql_to_ra_semantics () =
       let ra = Diagres_sql.To_ra.statement schemas st in
       Testutil.check_same_rows
         ("sql→ra " ^ e.Diagres.Catalog.id)
-        (Diagres_sql.To_ra.eval db st)
+        (eval_reference st)
         (Diagres_ra.Eval.eval db ra))
     Diagres.Catalog.all
 
@@ -185,7 +190,7 @@ let test_trc_to_sql_roundtrip () =
       Testutil.check_same_rows
         ("trc→sql " ^ e.Diagres.Catalog.id)
         (Diagres_rc.Trc.eval db q)
-        (Diagres_sql.To_ra.eval db back))
+        (eval_reference back))
     Diagres.Catalog.all
 
 let prop_ra_to_sql_roundtrip =
@@ -201,7 +206,7 @@ let prop_ra_to_sql_roundtrip =
         let back = parse sql_text in
         D.Relation.same_rows
           (Diagres_ra.Eval.eval db e)
-          (Diagres_sql.To_ra.eval db back))
+          (eval_reference back))
 
 let test_sql_depth_and_tables () =
   let st = parse (Diagres.Catalog.find "q3").Diagres.Catalog.sql in

@@ -308,6 +308,36 @@ let test_plan_cache_counters () =
     (1, 1)
     (Diagres_ra.Plan_cache.stats ())
 
+(* A plain Languages.eval of a TRC query is answered by the planner: its
+   trace holds the typecheck, plan and execute phases, and it moves the
+   plan-cache counters — so --trace-json and qviz stats report the engine
+   that answered. *)
+let test_eval_is_planned () =
+  with_tracing @@ fun () ->
+  let module L = Diagres.Languages in
+  Diagres_ra.Plan_cache.clear ();
+  let q = L.parse L.Trc (Diagres.Catalog.find "q3").Diagres.Catalog.trc in
+  let hits = T.counter_named "plan_cache.hit"
+  and misses = T.counter_named "plan_cache.miss" in
+  let first = L.eval db q in
+  let phases =
+    List.filter_map
+      (fun s -> if s.T.cat = "phase" then Some s.T.name else None)
+      (T.spans ())
+  in
+  List.iter
+    (fun phase ->
+      Alcotest.(check bool) ("eval traces phase " ^ phase) true
+        (List.mem phase phases))
+    [ "typecheck"; "plan"; "execute" ];
+  Alcotest.(check int) "first eval misses the plan cache" (misses + 1)
+    (T.counter_named "plan_cache.miss");
+  let second = L.eval db q in
+  Alcotest.(check int) "second eval hits it" (hits + 1)
+    (T.counter_named "plan_cache.hit");
+  Alcotest.(check (pair bool bool)) "the answers say so" (false, true)
+    (first.L.cached, second.L.cached)
+
 let test_datalog_round_counter () =
   let before = T.counter_named "datalog.rounds" in
   let chain =
@@ -748,6 +778,7 @@ let () =
           Alcotest.test_case "gauges" `Quick test_gauges;
           Alcotest.test_case "plan-cache counters" `Quick
             test_plan_cache_counters;
+          Alcotest.test_case "eval is planned" `Quick test_eval_is_planned;
           Alcotest.test_case "datalog round counter" `Quick
             test_datalog_round_counter;
           Alcotest.test_case "pool counters" `Quick test_pool_counters ] );
