@@ -183,8 +183,7 @@ let eval_cmd =
     Arg.(value & flag & info [ "analyze" ] ~doc)
   in
   (* explain after exec so every operator line shows actual counts *)
-  let print_plan ~analyze (a : Diagres.Languages.answer) =
-    let plan = a.Diagres.Languages.plan in
+  let print_plan ~analyze ({ plan; cached; _ } : Diagres.Languages.served) =
     print_string
       (if analyze then Diagres_ra.Plan.analyze plan
        else Diagres_ra.Plan.explain plan);
@@ -194,7 +193,7 @@ let eval_cmd =
     let hits, misses = Diagres_ra.Plan_cache.stats () in
     Printf.printf "domains: %d   plan cache: %s (hits=%d misses=%d)\n"
       (Diagres_pool.Pool.size ())
-      (if a.Diagres.Languages.cached then "hit" else "miss")
+      (if cached then "hit" else "miss")
       hits misses;
     if analyze then begin
       print_phases ();
@@ -223,7 +222,7 @@ let eval_cmd =
     if T.enabled () then Diagres.Views.refresh_memory_gauges db;
     (* --analyze is --explain with the measurements *)
     let explain = explain || analyze in
-    if explain then print_plan ~analyze answer;
+    if explain then print_plan ~analyze answer.Diagres.Languages.served;
     print_string (Diagres_data.Relation.to_string answer.Diagres.Languages.result)
   in
   Cmd.v
@@ -314,8 +313,9 @@ let update_cmd =
       (* the honest alternative: re-plan and re-run against the updated
          database (the stamp changed, so this never hits the view's plan) *)
       let recomputed =
-        Diagres_ra.Eval.eval_planned (Diagres.Views.database reg)
-          v.Diagres.Views.ra
+        v.Diagres.Views.answer
+          (Diagres_ra.Eval.eval_planned (Diagres.Views.database reg)
+             v.Diagres.Views.ra)
       in
       let t2 = T.now_ns () in
       let agree =

@@ -42,7 +42,6 @@ let of_exn : exn -> Diag.t option = function
   | Diagres_rc.Safety.Unsafe msg ->
     Some (diag "E-DRC-SAFE-001" Diag.Safety "%s" msg)
   | Diagres_sql.To_trc.Unsupported msg | Diagres_sql.Of_trc.Unsupported msg
-  | Diagres_rc.Trc_to_drc.Unsupported msg
   | Diagres_rc.Drc_to_ra.Unsupported msg ->
     Some (diag "E-XLATE-001" Diag.Type "unsupported translation: %s" msg)
   | Diagres_rc.Ra_to_trc.Union_not_supported ->

@@ -121,130 +121,91 @@ let to_ra schemas (q : query) : Diagres_ra.Ast.t =
 
 let schemas_of = Diagres_ra.Typecheck.env_of_database
 
-(* How the served route answers [q]: the query it lowers and, unless its
-   rows answer as they are (RA), each answer column — named as
-   {!eval_reference} names it, read from a column of those rows or a
-   literal.  RA has no literal relation and a DRC head lists distinct
-   variables, so constant and repeated head columns (which the lowering
-   refuses, or ranges over the active domain) are lowered without and put
-   back into each row. *)
-type column = Col of int | Lit of Diagres_data.Value.t
-
-let serving_form schemas (q : query) : query * (string * column) list option
-    =
+(** The served form of [q]: its RA expression and, unless its rows answer
+    as they are (RA), each answer column named as {!eval_reference} names
+    it — the TRC head rule ({!Diagres_rc.Trc.head_schema}) for TRC and
+    SQL, the head variables for DRC, [x1], [x2], … for Datalog — and read
+    from a column of those rows or a literal ({!Diagres_rc.Drc_to_ra.lower}). *)
+let lower schemas (q : query) :
+    Diagres_ra.Ast.t * (string * Diagres_rc.Drc_to_ra.column) list option =
+  T.with_span ~cat:"phase" "translate" @@ fun () ->
+  let module L = Diagres_rc.Drc_to_ra in
   let module S = Diagres_sql.Ast in
-  let module Dl = Diagres_datalog.Ast in
-  (* the distinct keys of [head], and each head item as a column over them *)
-  let columns head =
-    let keys =
-      List.fold_left
-        (fun ks -> function
-          | Either.Left k when not (List.mem k ks) -> ks @ [ k ] | _ -> ks)
-        [] head
-    in
-    let rec index i k = function
-      | k' :: ks -> if k' = k then i else index (i + 1) k ks | [] -> i
-    in
-    let column = function
-      | Either.Left k -> Col (index 0 k keys)
-      | Either.Right c -> Lit c
-    in
-    (keys, List.map column head)
-  in
-  let names t =
+  let trc_names t =
     Diagres_data.Schema.names (Diagres_rc.Trc.head_schema schemas t)
   in
-  let identity names = Some (List.mapi (fun i n -> (n, Col i)) names) in
-  let trc (t : Diagres_rc.Trc.query) =
-    let fields, cols =
-      columns
-        (List.map
-           (function
-             | Diagres_rc.Trc.Const c -> Either.Right c | f -> Either.Left f)
-           t.head)
-    in
-    (Q_trc { t with head = fields }, Some (List.combine (names t) cols))
-  in
+  let named names (e, cols) = (e, Some (List.combine names cols)) in
   let rec first = function
     | S.Query b -> b
     | S.Union (a, _) | S.Intersect (a, _) | S.Except (a, _) -> first a
   in
   match q with
-  | Q_ra _ -> (q, None)
-  | Q_trc t -> trc t
-  | Q_sql (S.Query b) -> trc (Diagres_sql.To_trc.of_query schemas b)
+  | Q_ra e -> (e, None)
   | Q_sql st ->
-    (q, identity (names (Diagres_sql.To_trc.of_query schemas (first st))))
-  | Q_drc d -> (q, identity d.head)
+    named
+      (trc_names (Diagres_sql.To_trc.of_query schemas (first st)))
+      (Diagres_sql.To_ra.lower schemas st)
+  | Q_trc t ->
+    named (trc_names t)
+      (L.lower schemas (Diagres_rc.Trc_to_drc.query schemas t))
+  | Q_drc d -> named d.head (L.lower schemas d)
   | Q_datalog (p, goal) ->
-    let heads =
-      List.map (fun (r : Dl.rule) -> r.head.args) (Dl.rules_for p goal)
+    let e, cols =
+      L.lower schemas (Diagres_datalog.To_drc.query schemas p ~goal)
     in
-    let arity = List.length (List.hd heads) in
-    (* a literal: a position every goal rule fills with the same constant;
-       none when the goal's heads differ in arity (the checker rejects the
-       program) or another rule reads the goal *)
-    let liftable =
-      List.for_all (fun args -> List.length args = arity) heads
-      && not (List.exists (fun r -> List.mem goal (Dl.body_preds r)) p)
-    in
-    let item i =
-      match if liftable then List.map (fun a -> List.nth a i) heads else [] with
-      | Dl.Const c :: rest when List.for_all (( = ) (Dl.Const c)) rest ->
-        Either.Right c
-      | _ -> Either.Left i
-    in
-    let kept, cols = columns (List.init arity item) in
-    let strip (r : Dl.rule) =
-      if r.head.pred <> goal || List.length kept = arity then r
-      else
-        let args = List.filteri (fun i _ -> List.mem i kept) r.head.args in
-        { r with head = { r.head with args } }
-    in
-    let xs = List.init arity Diagres_datalog.Eval.column_name in
-    (Q_datalog (List.map strip p, goal), Some (List.combine xs cols))
+    named (List.mapi (fun i _ -> Diagres_datalog.Eval.column_name i) cols)
+      (e, cols)
 
-(** A served answer, and the physical plan that computed it — executed,
-    so {!Diagres_ra.Plan.explain} shows actual row counts. *)
-type answer = {
-  result : Diagres_data.Relation.t;
+(** A query ready to serve: its lowered RA, the checked plan (shared with
+    {!Diagres_ra.Plan_cache}), and how the plan's rows become the answer. *)
+type served = {
+  ra : Diagres_ra.Ast.t;
   plan : Diagres_ra.Plan.t;
   cached : bool;  (** the plan was served from {!Diagres_ra.Plan_cache} *)
+  answer : Diagres_data.Relation.t -> Diagres_data.Relation.t;
 }
 
-(** The one serving route, for all five languages: lower to RA
-    ({!to_ra}), typecheck, plan through the plan cache, execute.  The
-    answer has {!eval_reference}'s columns, not the lowering's. *)
+(** Lower ({!lower}), typecheck and plan [q] through the plan cache — the
+    one serving route of {!eval} and of registered views. *)
+let serve db (q : query) : served =
+  let module R = Diagres_data.Relation in
+  let module L = Diagres_rc.Drc_to_ra in
+  let ra, columns = lower (schemas_of db) q in
+  let plan, cached = Diagres_ra.Eval.plan_checked db ra in
+  let answer r =
+    match columns with
+    | None -> r
+    | Some cols when L.plain (List.map snd cols) ->
+      R.rename_all (List.map fst cols) r
+    | Some cols ->
+      let schema = R.schema r in
+      let attr = function
+        | n, L.Col i ->
+          { (List.nth schema i) with Diagres_data.Schema.name = n }
+        | n, L.Lit v ->
+          Diagres_data.Schema.attr ~ty:(Diagres_data.Value.type_of v) n
+      in
+      let read t = function _, L.Col i -> t.(i) | _, L.Lit v -> v in
+      R.map (List.map attr cols)
+        (fun t -> Array.of_list (List.map (read t) cols))
+        r
+  in
+  { ra; plan; cached; answer }
+
+(** A served answer, and the query that computed it — its plan executed,
+    so {!Diagres_ra.Plan.explain} shows actual row counts. *)
+type answer = { result : Diagres_data.Relation.t; served : served }
+
+(** The one serving route, for all five languages: lower to RA, typecheck,
+    plan through the plan cache, execute ({!serve}).  The answer has
+    {!eval_reference}'s columns, not the lowering's. *)
 let eval db (q : query) : answer =
   T.with_span ~cat:"phase"
     ~attrs:(fun () -> [ ("lang", T.Str (name (lang_of q))) ])
     "eval"
   @@ fun () ->
-  let module R = Diagres_data.Relation in
-  let schemas = schemas_of db in
-  let lowered, columns = serving_form schemas q in
-  let plan, cached =
-    Diagres_ra.Eval.plan_checked db (to_ra schemas lowered)
-  in
-  let r = Diagres_ra.Plan.run plan in
-  let schema = R.schema r in
-  let result =
-    match columns with
-    | None -> r
-    | Some cols when List.map snd cols = List.mapi (fun i _ -> Col i) schema ->
-      R.rename_all (List.map fst cols) r
-    | Some cols ->
-      let attr = function
-        | n, Col i -> { (List.nth schema i) with Diagres_data.Schema.name = n }
-        | n, Lit v ->
-          Diagres_data.Schema.attr ~ty:(Diagres_data.Value.type_of v) n
-      in
-      let read t = function _, Col i -> t.(i) | _, Lit v -> v in
-      R.map (List.map attr cols)
-        (fun t -> Array.of_list (List.map (read t) cols))
-        r
-  in
-  { result; plan; cached }
+  let s = serve db q in
+  { result = s.answer (Diagres_ra.Plan.run s.plan); served = s }
 
 (** The reference oracle: each language's native evaluator — TRC and DRC
     by calculus evaluation, Datalog bottom-up, SQL block by block as TRC,

@@ -30,6 +30,7 @@ type view = {
   query : Languages.query;
   ra : Ra.Ast.t;
   plan : Ra.Plan.t;  (** shared with the plan cache — treat as read-only *)
+  answer : R.t -> R.t;  (** the plan's rows as the query's answer *)
   delta : Ra.Delta.t;
   rendering : Pipeline.rendering option;
   mutable generation : int;  (** update batches applied *)
@@ -56,27 +57,29 @@ let find_opt t name = List.assoc_opt name t.views
 let find t name =
   match find_opt t name with Some v -> v | None -> raise (Unknown_view name)
 
-(** Parse, lower to RA, plan (through the LRU plan cache), run once, and
-    start maintaining.  [formalism] additionally renders the query's
-    diagram, kept alongside the maintained result.  Re-registering a name
-    replaces the old view. *)
+(** Parse, lower and plan through {!Languages.serve} (the LRU plan cache
+    included), run once, and start maintaining; {!result} answers with the
+    columns {!Languages.eval} gives.  [formalism] additionally renders the
+    query's diagram, kept alongside the maintained result.  Re-registering
+    a name replaces the old view. *)
 let register ?formalism t ~name ~lang ~source : view =
   let query = Languages.parse lang source in
-  let schemas = Languages.schemas_of t.db in
-  let ra = Languages.to_ra schemas query in
-  let plan, _cached = Ra.Eval.plan_checked t.db ra in
+  let { Languages.ra; plan; answer; _ } = Languages.serve t.db query in
   let delta = Ra.Delta.init plan in
   let rendering =
-    Option.map (fun f -> Pipeline.visualize schemas query f) formalism
+    Option.map
+      (fun f -> Pipeline.visualize (Languages.schemas_of t.db) query f)
+      formalism
   in
   let v =
-    { name; lang; source; query; ra; plan; delta; rendering; generation = 0 }
+    { name; lang; source; query; ra; plan; answer; delta; rendering;
+      generation = 0 }
   in
   t.views <- List.remove_assoc name t.views @ [ (name, v) ];
   v
 
 let unregister t name = t.views <- List.remove_assoc name t.views
-let result (v : view) : R.t = Ra.Delta.result v.delta
+let result (v : view) : R.t = v.answer (Ra.Delta.result v.delta)
 
 (** Apply [(relation, inserts, deletes)] batches to the database and
     propagate the normalized deltas through every registered view.  Plans
@@ -103,7 +106,7 @@ let update t (changes : (string * R.t * R.t) list) : update_stats list =
     plan — the database stamp changed, so this never reuses the view's
     plan entry) and compare with the maintained result. *)
 let verify t (v : view) : bool =
-  R.same_rows (result v) (Ra.Eval.eval_planned t.db v.ra)
+  R.same_rows (result v) (v.answer (Ra.Eval.eval_planned t.db v.ra))
 
 (** The view's diagram (as rendered at registration) plus its maintained
     result and generation — what a UI would repaint after an update. *)

@@ -19,7 +19,10 @@
     Only a variable that nothing binds is widened with the active-domain
     relation {!adom}; for unsafe queries the result is therefore still the
     active-domain reading — the semantic subtlety the tutorial discusses for
-    Peirce's beta graphs.
+    Peirce's beta graphs.  A variable that only a constant binds ([y = 'k'])
+    is the exception: RA has no literal relation, and the active domain need
+    not hold the constant.  {!lower} answers it as a literal column when the
+    constant is fixed for every answer; anywhere else it is refused.
 
     The formula is normalized first: ¬ is pushed through ∨, ⇒, ¬¬ and ∀, so
     that ∀x̄(R(x̄) ⇒ φ) becomes ¬∃x̄(R(x̄) ∧ ¬φ) with its guard a positive
@@ -338,6 +341,14 @@ let rec trans schemas (ctx : ctx) (f : F.t) : A.t * string list =
   | F.Pred (p, ts) ->
     let e, cols = atom schemas p ts in
     join_ctx ctx (e, cols)
+  | F.Cmp (F.Eq, F.Var y, F.Const c) | F.Cmp (F.Eq, F.Const c, F.Var y)
+    when not (List.mem y (cols_of ctx)) ->
+    raise
+      (Unsupported
+         (Printf.sprintf
+            "%s is bound only by the constant %s, and RA has no literal \
+             relation to range it over"
+            y (Diagres_data.Value.to_literal c)))
   | F.Cmp _ | F.Not (F.Cmp _) ->
     let e, cols = widen schemas ctx (F.free_vars f) in
     (A.Select (Option.get (filter_pred f), e), cols)
@@ -414,20 +425,84 @@ and conj schemas (ctx : ctx) (gs : F.t list) =
     in
     conj schemas (Some ctx') rest
 
+(** An answer column of a lowered query: the [i]-th column of the RA
+    result, or a constant. *)
+type column = Col of int | Lit of Diagres_data.Value.t
+
+(* The constant [f] forces on the free variable [y] in every model: [y = c]
+   in a conjunct, in both disjuncts alike, or under another variable's ∃. *)
+let rec forced y (f : F.t) =
+  match f with
+  | F.Cmp (F.Eq, F.Var x, F.Const c) | F.Cmp (F.Eq, F.Const c, F.Var x)
+    when x = y ->
+    Some c
+  | F.And (a, b) -> (
+    match forced y a with None -> forced y b | c -> c)
+  | F.Or (a, b) -> (
+    match (forced y a, forced y b) with
+    | Some c, Some d when c = d -> Some c
+    | _ -> None)
+  | F.Exists (x, g) when x <> y -> forced y g
+  | _ -> None
+
+(** Translate a DRC query into RA, with the answer's columns in head
+    order.  A head variable that no atom ranges but a constant fixes —
+    [y = 'k'], also through a Datalog rule head or a TRC head constant —
+    is substituted away and answered as a {!Lit} column; every other head
+    variable is a column of the RA result, in head order. *)
+let lower schemas (q : Drc.query) : A.t * column list =
+  Drc.typecheck schemas q;
+  let body = simplify q.Drc.body in
+  let lits =
+    List.filter_map
+      (fun y ->
+        if List.mem y (ranged body) then None
+        else Option.map (fun c -> (y, c)) (forced y body))
+      q.Drc.head
+  in
+  let head = List.filter (fun y -> not (List.mem_assoc y lits)) q.Drc.head in
+  let body =
+    simplify
+      (List.fold_left (fun f (y, c) -> F.subst y (F.Const c) f) body lits)
+  in
+  let e =
+    match body with
+    | (F.True | F.False) when lits = [] || head <> [] ->
+      raise
+        (Unsupported "query body is a closed constant; nothing to translate")
+    | body ->
+      let body = rename_apart (prepare body) in
+      let body =
+        (* solving can fold the whole body to a constant, which has no
+           columns to answer with: translate it unsolved then *)
+        match simplify (blocks body) with
+        | F.True | F.False -> body
+        | solved -> solved
+      in
+      align (trans schemas None body) head
+  in
+  ( e,
+    List.map
+      (fun y ->
+        match List.assoc_opt y lits with
+        | Some c -> Lit c
+        | None -> Col (Option.get (List.find_index (( = ) y) head)))
+      q.Drc.head )
+
+(** Whether a lowered query answers with its RA result's rows as they are
+    (no {!Lit}: then its columns are [Col 0], [Col 1], … in order). *)
+let plain = List.for_all (function Col _ -> true | Lit _ -> false)
+
+(** The RA expression of a lowered query whose answer is its rows as they
+    are; a literal answer column has no RA counterpart. *)
+let exact ((e, cols) : A.t * column list) : A.t =
+  if plain cols then e
+  else
+    raise
+      (Unsupported
+         "a constant answer column has no RA counterpart (no literal \
+          relation)")
+
 (** Translate a DRC query into RA.  The result's columns follow the query
     head order. *)
-let query schemas (q : Drc.query) : A.t =
-  Drc.typecheck schemas q;
-  match simplify q.Drc.body with
-  | F.True | F.False ->
-    raise (Unsupported "query body is a closed constant; nothing to translate")
-  | body ->
-    let body = rename_apart (prepare body) in
-    let body =
-      (* solving can fold the whole body to a constant, which has no
-         columns to answer with: translate it unsolved then *)
-      match simplify (blocks body) with
-      | F.True | F.False -> body
-      | solved -> solved
-    in
-    align (trans schemas None body) q.Drc.head
+let query schemas (q : Drc.query) : A.t = exact (lower schemas q)

@@ -24,7 +24,18 @@ let ra_to_trc : schemas -> Diagres_ra.Ast.t -> Trc.query list = Ra_to_trc.querie
 
 let trc_to_ra schemas q = drc_to_ra schemas (trc_to_drc schemas q)
 
-let drc_to_trc schemas q = ra_to_trc schemas (drc_to_ra schemas q)
+(* A constant answer column, which RA cannot carry, comes back as a
+   constant TRC head term. *)
+let drc_to_trc schemas q =
+  let e, cols = Drc_to_ra.lower schemas q in
+  List.map
+    (fun (t : Trc.query) ->
+      let term = function
+        | Drc_to_ra.Col i -> List.nth t.Trc.head i
+        | Drc_to_ra.Lit c -> Trc.Const c
+      in
+      { t with Trc.head = List.map term cols })
+    (ra_to_trc schemas e)
 
 (** Split TRC queries into single-panel (nested-box-drawable) queries: a
     query whose body hides a disjunction in positive position is re-derived

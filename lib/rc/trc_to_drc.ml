@@ -13,8 +13,6 @@
 
 module F = Diagres_logic.Fol
 
-exception Unsupported of string
-
 let var_name v a = Diagres_logic.Names.sanitize (v ^ "_" ^ a)
 
 let term_to_fol = function
@@ -62,28 +60,27 @@ let rec formula schemas (f : Trc.formula) : F.t =
     let body = F.Implies (inner, formula schemas g) in
     F.forall_many (List.concat_map (range_vars schemas) rs) body
 
-(** Translate a full query.  Head terms must be distinct fields (DRC heads
-    are variable lists); attributes of free tuple variables that are not in
-    the head get existentially quantified. *)
+(** Translate a full query.  DRC heads are lists of distinct variables:
+    a repeated head field or a constant gets a fresh variable equated to it
+    (a constant column is then answered by {!Drc_to_ra.lower}).
+    Attributes of free tuple variables that are not in the head get
+    existentially quantified. *)
 let query schemas (q : Trc.query) : Drc.query =
   ignore (Trc.typecheck schemas q);
-  let head_vars =
-    List.map
-      (function
-        | Trc.Field (v, a) -> var_name v a
-        | Trc.Const _ ->
-          raise (Unsupported "constant in TRC head has no DRC counterpart"))
-      q.Trc.head
+  let all_range_vars = List.concat_map (range_vars schemas) q.Trc.ranges in
+  (* [c1], [c2], …: never a [var_name], which always holds an underscore *)
+  let supply = Diagres_logic.Names.create () in
+  let head_vars, head_eqs =
+    List.fold_left
+      (fun (vs, eqs) t ->
+        match t with
+        | Trc.Field (v, a) when not (List.mem (var_name v a) vs) ->
+          (vs @ [ var_name v a ], eqs)
+        | t ->
+          let x = Diagres_logic.Names.fresh supply "c" in
+          (vs @ [ x ], F.Cmp (F.Eq, F.Var x, term_to_fol t) :: eqs))
+      ([], []) q.Trc.head
   in
-  let dups =
-    List.filter
-      (fun v -> List.length (List.filter (( = ) v) head_vars) > 1)
-      head_vars
-  in
-  if dups <> [] then
-    raise
-      (Unsupported
-         ("repeated head field cannot be a DRC head: " ^ List.hd dups));
   let body0 = formula schemas q.Trc.body in
   let body1 =
     List.fold_left
@@ -91,9 +88,8 @@ let query schemas (q : Trc.query) : Drc.query =
       body0 (List.rev q.Trc.ranges)
   in
   (* existentially close every free-range variable that is not in the head *)
-  let all_range_vars = List.concat_map (range_vars schemas) q.Trc.ranges in
   let to_close = List.filter (fun v -> not (List.mem v head_vars)) all_range_vars in
-  let body = F.exists_many to_close body1 in
+  let body = F.conj (F.exists_many to_close body1 :: List.rev head_eqs) in
   { Drc.head = head_vars; body }
 
 (** Boolean statements translate directly. *)

@@ -108,35 +108,55 @@ let test_language_parse_errors () =
 
 (* The served route (lower, plan, run) answers with the reference's rows
    under the reference's column names: [sid], not the lowering's [s_sid];
-   [x1] for Datalog, not [s_ans_1]. *)
-let check_served_as_reference db tag q =
-  let served = (L.eval db q).L.result and reference = L.eval_reference db q in
-  Testutil.check_same_rows (tag ^ " rows") reference served;
-  Alcotest.(check (list string))
-    (tag ^ " header")
-    (D.Schema.names (D.Relation.schema reference))
-    (D.Schema.names (D.Relation.schema served))
+   [x1] for Datalog, not [s_ans_1].  A view registered from the same text
+   ([source]) answers the same. *)
+let check_served_as_reference ?source db tag q =
+  let reference = L.eval_reference db q in
+  let check what served =
+    Testutil.check_same_rows (tag ^ what ^ " rows") reference served;
+    Alcotest.(check (list string))
+      (tag ^ what ^ " header")
+      (D.Schema.names (D.Relation.schema reference))
+      (D.Schema.names (D.Relation.schema served))
+  in
+  check "" (L.eval db q).L.result;
+  Option.iter
+    (fun source ->
+      let reg = Diagres.Views.create db in
+      check " view"
+        (Diagres.Views.result
+           (Diagres.Views.register reg ~name:"v" ~lang:(L.lang_of q) ~source)))
+    source
 
 let test_served_as_reference () =
   List.iter
     (fun e ->
       List.iter
         (fun (lang, src) ->
-          check_served_as_reference db
+          check_served_as_reference ~source:src db
             (e.Diagres.Catalog.id ^ "/" ^ L.name lang)
             (L.parse lang src))
         (Diagres.Catalog.sources e))
     Diagres.Catalog.all;
   (* answer columns the lowering cannot return itself — constants (one the
-     database does not hold, too) and a field read twice — and a SELECT *
-     whose columns come from name resolution *)
+     database does not hold, too, reached through a DRC equality, a Datalog
+     rule the goal reads, or both sides of a UNION) and a field read twice —
+     and a SELECT * whose columns come from name resolution *)
   List.iter
     (fun (lang, src) ->
-      check_served_as_reference db (L.name lang ^ " " ^ src) (L.parse lang src))
+      check_served_as_reference ~source:src db (L.name lang ^ " " ^ src)
+        (L.parse lang src))
     [ (L.Trc, "{ s.sid, 3, s.sname, s.sid, 'k' | s in Sailor : s.rating > 9 }");
       (L.Trc, "{ 'k' | s in Sailor : s.rating > 9 }");
       (L.Sql, "SELECT s.sid, 'k', s.sid FROM Sailor s WHERE s.rating > 9");
       (L.Sql, "SELECT * FROM Sailor s WHERE s.rating > 9");
+      (L.Sql,
+       "SELECT s.sid, 'k' FROM Sailor s WHERE s.rating > 9 UNION \
+        SELECT b.bid, 'k' FROM Boat b");
+      (L.Drc, "{ x, y | exists n, r, a (Sailor(x, n, r, a) & r > 9) & y = 'k' }");
+      (L.Drc, "{ y | y = 'k' }");
+      (L.Datalog,
+       "p(X, 'k') :- Sailor(X, N, R, A), R > 9.\nq(X, Y) :- p(X, Y).");
       (L.Datalog,
        "q(X, 'k', X) :- Sailor(X, N, R, A), R > 9.\n\
         q(X, 'k', B) :- Reserves(X, B, D).") ];
@@ -151,6 +171,28 @@ let test_served_as_reference () =
     check_served_as_reference db (tag "datalog")
       (L.Q_datalog (Q.gen_datalog st schemas, "q"))
   done
+
+(* A variable only constants bind, with a different constant in different
+   answers, needs a literal relation RA does not have: the served route
+   refuses it (E-XLATE-001) rather than range it over the active domain,
+   which lacks ['k'] and ['m'] and would answer without those rows. *)
+let test_served_refuses_constant_ranges () =
+  List.iter
+    (fun (lang, src) ->
+      match Diagres.Errors.capture (fun () -> L.eval db (L.parse lang src)) with
+      | Error d ->
+        Alcotest.(check string) src "E-XLATE-001" d.Diagres_diag.Diag.code
+      | Ok a ->
+        Alcotest.failf "%s: answered %d rows, expected E-XLATE-001" src
+          (D.Relation.cardinality a.L.result))
+    [ (L.Drc,
+       "{ x, y | exists n, r, a (Sailor(x, n, r, a) & r > 9) & \
+        (y = 'k' | y = 'm') }");
+      (L.Datalog,
+       "q(X, 'k') :- Sailor(X, N, R, A), R > 9.\nq(X, 'm') :- Boat(X, N, C).");
+      (L.Sql,
+       "SELECT s.sid, 'k' FROM Sailor s WHERE s.rating > 9 UNION \
+        SELECT b.bid, 'm' FROM Boat b") ]
 
 (* Every subtree of an RA expression, the expression included. *)
 let rec ra_subterms (e : Diagres_ra.Ast.t) =
@@ -429,7 +471,9 @@ let () =
           Alcotest.test_case "parse errors" `Quick test_language_parse_errors;
           Alcotest.test_case "to_ra" `Quick test_to_ra_semantics;
           Alcotest.test_case "served = reference" `Quick
-            test_served_as_reference ] );
+            test_served_as_reference;
+          Alcotest.test_case "served refuses constant ranges" `Quick
+            test_served_refuses_constant_ranges ] );
       ( "pipeline",
         [ Alcotest.test_case "verify catalog" `Quick
             test_pipeline_verify_all_catalog;

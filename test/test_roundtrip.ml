@@ -66,9 +66,13 @@ let reference db q =
 let translate_equiv ?(targets = [ L.Sql; L.Ra; L.Trc; L.Drc ]) tag i db
     (q : L.query) =
   let expected = reference db q in
-  (* the source query itself must agree with the reference *)
+  (* the source query itself must agree with the reference, by its native
+     evaluator and by the served route *)
   if not (D.Relation.same_rows expected (L.eval_reference db q)) then
     Alcotest.failf "%s #%d: source eval disagrees with naive RA:\n%s" tag i
+      (L.to_string q);
+  if not (D.Relation.same_rows expected (L.eval db q).L.result) then
+    Alcotest.failf "%s #%d: served answer disagrees with naive RA:\n%s" tag i
       (L.to_string q);
   List.iter
     (fun target ->
@@ -87,12 +91,15 @@ let translate_equiv ?(targets = [ L.Sql; L.Ra; L.Trc; L.Drc ]) tag i db
             tag i (L.name target) (Printexc.to_string exn) text
             (L.to_string q)
       in
-      let got =
-        try L.eval_reference db q'
+      let got, served =
+        try (L.eval_reference db q', (L.eval db q').L.result)
         with exn ->
           Alcotest.failf "%s #%d: translated %s query fails to eval (%s):\n%s"
             tag i (L.name target) (Printexc.to_string exn) text
       in
+      if not (D.Relation.same_rows got served) then
+        Alcotest.failf "%s #%d: translated %s query served differently:\n%s"
+          tag i (L.name target) text;
       if not (D.Relation.same_rows expected got) then
         Alcotest.failf
           "%s #%d: translation to %s changed the answer:\n%s\n-- source:\n%s\n\

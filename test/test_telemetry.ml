@@ -336,7 +336,7 @@ let test_eval_is_planned () =
   Alcotest.(check int) "second eval hits it" (hits + 1)
     (T.counter_named "plan_cache.hit");
   Alcotest.(check (pair bool bool)) "the answers say so" (false, true)
-    (first.L.cached, second.L.cached)
+    (first.L.served.cached, second.L.served.cached)
 
 let test_datalog_round_counter () =
   let before = T.counter_named "datalog.rounds" in
